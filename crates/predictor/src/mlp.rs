@@ -12,6 +12,7 @@
 //! deterministic given the config seed.
 
 use crate::dataset::Dataset;
+use crate::features::FEATURE_DIM;
 use crate::LatencyModel;
 use workload::SeededRng;
 
@@ -134,8 +135,8 @@ struct InferencePlan {
     /// Widest activation (in elements) across all layers, for sizing the
     /// batch workspace.
     max_width: usize,
-    /// Host supports the 4-wide AVX2 axpy kernel (runtime-detected once).
-    use_avx2: bool,
+    /// Kernel SIMD tier (runtime-detected once).
+    simd: Simd,
 }
 
 impl InferencePlan {
@@ -157,25 +158,91 @@ impl InferencePlan {
             .flat_map(|l| [l.in_dim, l.out_dim])
             .max()
             .unwrap_or(1);
-        #[cfg(target_arch = "x86_64")]
-        let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_avx2 = false;
         Self {
             wt,
             max_width,
-            use_avx2,
+            simd: Simd::detect(),
         }
     }
 }
 
+/// Hidden-layer width of the paper's network (§5.5: three layers of 32).
+/// The forward, gradient and delta kernels carry register-resident bodies
+/// specialised for this width and for the Fig. 8 input width
+/// [`FEATURE_DIM`]; every other width runs the generic bodies.
+const HIDDEN_WIDTH: usize = 32;
+
 /// Output rows up to this wide use the stack-accumulator fast path in
-/// [`layer_kernel`]; wider layers fall back to streaming through memory.
+/// [`layer_generic`]; wider layers fall back to streaming through memory.
 /// Generously above the paper's 32-wide hidden layers.
 const LAYER_ACC_WIDTH: usize = 128;
 
 /// One dense layer of the batched forward pass: `b[..n*dout] = bias ⊕
-/// a[..n*din] · wt`, rows packed at their layer's stride.
+/// a[..n*din] · wt`, rows packed at their layer's stride. Output widths
+/// [`HIDDEN_WIDTH`] and [`FEATURE_DIM`] run [`layer_fixed`], the
+/// single-output head on a [`HIDDEN_WIDTH`] input runs [`head_fixed`], and
+/// every other shape runs [`layer_generic`]; all agree bit for bit.
+///
+/// `#[inline(always)]` so each SIMD tier's `target_feature` wrapper (see
+/// [`Simd::run`]) compiles this exact body at its vector width.
+#[inline(always)]
+fn layer_kernel(a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, din: usize) {
+    match (bias.len(), din) {
+        (HIDDEN_WIDTH, _) => layer_fixed::<HIDDEN_WIDTH>(a, b, wt, bias, n, din),
+        (FEATURE_DIM, _) => layer_fixed::<FEATURE_DIM>(a, b, wt, bias, n, din),
+        (1, HIDDEN_WIDTH) => head_fixed::<HIDDEN_WIDTH>(a, b, wt, bias[0], n),
+        _ => layer_generic(a, b, wt, bias, n, din),
+    }
+}
+
+/// Fixed-width forward body: each `N`-wide output row accumulates in a
+/// `[f64; N]` the compiler keeps in vector registers across the whole input
+/// loop, and every input — zero or not — adds its term, so the loop has no
+/// data-dependent branch (post-ReLU zeros follow no pattern the branch
+/// predictor could learn). Per output the terms add in ascending input
+/// order, exactly as [`Dense::forward`] adds them.
+#[inline(always)]
+fn layer_fixed<const N: usize>(
+    a: &[f64],
+    b: &mut [f64],
+    wt: &[f64],
+    bias: &[f64],
+    n: usize,
+    din: usize,
+) {
+    let bias: [f64; N] = bias.try_into().expect("dispatched on an N-wide bias");
+    let wrows = wt[..din * N].as_chunks::<N>().0;
+    let rows = a[..n * din]
+        .chunks_exact(din)
+        .zip(b[..n * N].as_chunks_mut::<N>().0);
+    for (arow, y) in rows {
+        let mut acc = bias;
+        for (&xi, wrow) in arow.iter().zip(wrows) {
+            for (yo, &w) in acc.iter_mut().zip(wrow) {
+                *yo += xi * w;
+            }
+        }
+        *y = acc;
+    }
+}
+
+/// Fixed-width body for a single-output layer (the mean head): each row's
+/// output is one `N`-term dot product added in ascending input order,
+/// every term included — a branch-free dependency chain per row, and
+/// consecutive rows' chains overlap in the out-of-order core.
+#[inline(always)]
+fn head_fixed<const N: usize>(a: &[f64], b: &mut [f64], wt: &[f64], bias: f64, n: usize) {
+    let wt: &[f64; N] = wt.try_into().expect("dispatched on an N × 1 weight matrix");
+    for (arow, y) in a[..n * N].as_chunks::<N>().0.iter().zip(&mut b[..n]) {
+        let mut acc = bias;
+        for (&x, &w) in arow.iter().zip(wt) {
+            acc += x * w;
+        }
+        *y = acc;
+    }
+}
+
+/// Generic forward body for any layer shape.
 ///
 /// Per batch row the output accumulates in a stack buffer that stays in
 /// registers/L1 across the whole input loop, so each output row is written
@@ -185,11 +252,8 @@ const LAYER_ACC_WIDTH: usize = 128;
 /// exactly as [`Dense::forward`] — so batched and scalar predictions agree
 /// bit for bit (the axpy inner loop is element-wise: vectorising *across*
 /// outputs reorders nothing *within* an output's accumulation chain).
-///
-/// `#[inline(always)]` so the AVX2 wrapper below compiles this exact body
-/// with wider vector instructions enabled.
 #[inline(always)]
-fn layer_kernel(a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, din: usize) {
+fn layer_generic(a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, din: usize) {
     let dout = bias.len();
     if dout <= LAYER_ACC_WIDTH {
         let mut acc = [0.0f64; LAYER_ACC_WIDTH];
@@ -233,18 +297,6 @@ fn layer_kernel(a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, di
             }
         }
     }
-}
-
-/// [`layer_kernel`] compiled with AVX2 enabled (the axpy auto-vectorises
-/// 4-wide). One `target_feature` boundary per *layer*, not per axpy, so
-/// the inner loops inline fully.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn layer_kernel_avx2(a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, din: usize) {
-    layer_kernel(a, b, wt, bias, n, din);
 }
 
 /// Reusable per-thread workspace for the batched forward pass: two
@@ -338,8 +390,59 @@ fn refresh_transposed(layers: &[Dense], wt: &mut [Vec<f64>]) {
     }
 }
 
-/// Accumulate one chunk's weight/bias gradients: for every output `o` and
-/// row `r`, `gb[o] += d` and `gw[o,·] += d · acts[r,·]`.
+/// Write one chunk's weight/bias gradient partial sums: for every output
+/// `o`, `gb[o] = Σ_r d` and `gw[o,·] = Σ_r d · acts[r,·]` with
+/// `d = delta[r,o]`, each sum starting at `+0.0`. Input widths
+/// [`HIDDEN_WIDTH`] and [`FEATURE_DIM`] run [`grad_fixed`], every other
+/// width [`grad_generic`]; both agree bit for bit.
+#[inline(always)]
+fn grad_kernel(
+    delta: &[f64],
+    acts: &[f64],
+    gw: &mut [f64],
+    gb: &mut [f64],
+    rows: usize,
+    din: usize,
+) {
+    match din {
+        HIDDEN_WIDTH => grad_fixed::<HIDDEN_WIDTH>(delta, acts, gw, gb, rows),
+        FEATURE_DIM => grad_fixed::<FEATURE_DIM>(delta, acts, gw, gb, rows),
+        _ => grad_generic(delta, acts, gw, gb, rows, din),
+    }
+}
+
+/// Fixed-width gradient body: one output's `N`-wide gradient row lives in
+/// a `[f64; N]` register accumulator across the whole chunk, and every
+/// row's term is added — zero deltas included — so the inner loop is
+/// branch-free. Rows ascend, so each weight's terms still add in
+/// ascending sample order, the order of the scalar reference trainer.
+#[inline(always)]
+fn grad_fixed<const N: usize>(
+    delta: &[f64],
+    acts: &[f64],
+    gw: &mut [f64],
+    gb: &mut [f64],
+    rows: usize,
+) {
+    let dout = gb.len();
+    let arows = acts[..rows * N].as_chunks::<N>().0;
+    let delta = &delta[..rows * dout];
+    for (o, (b, grow)) in gb.iter_mut().zip(gw.as_chunks_mut::<N>().0).enumerate() {
+        let mut acc = [0.0f64; N];
+        let mut bsum = 0.0;
+        for (arow, drow) in arows.iter().zip(delta.chunks_exact(dout)) {
+            let d = drow[o];
+            bsum += d;
+            for (g, &a) in acc.iter_mut().zip(arow) {
+                *g += d * a;
+            }
+        }
+        *b = bsum;
+        *grow = acc;
+    }
+}
+
+/// Generic gradient body for any layer shape.
 ///
 /// Outputs are the outer loop so one gradient row (and its bias cell)
 /// stays hot across the whole chunk; rows ascend in the inner loop, so
@@ -348,11 +451,19 @@ fn refresh_transposed(layers: &[Dense], wt: &mut [Vec<f64>]) {
 /// `d == 0` skips whole axpys the way the forward kernel skips zero
 /// inputs.
 #[inline(always)]
-fn grad_kernel(delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows: usize, din: usize) {
+fn grad_generic(
+    delta: &[f64],
+    acts: &[f64],
+    gw: &mut [f64],
+    gb: &mut [f64],
+    rows: usize,
+    din: usize,
+) {
     let dout = gb.len();
+    gw.fill(0.0);
     for (o, b) in gb.iter_mut().enumerate() {
         let grow = &mut gw[o * din..(o + 1) * din];
-        let mut bsum = *b;
+        let mut bsum = 0.0;
         for r in 0..rows {
             let d = delta[r * dout + o];
             if d == 0.0 {
@@ -368,30 +479,64 @@ fn grad_kernel(delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows
     }
 }
 
-/// [`grad_kernel`] compiled with AVX2 enabled.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn grad_kernel_avx2(
-    delta: &[f64],
-    acts: &[f64],
-    gw: &mut [f64],
-    gb: &mut [f64],
-    rows: usize,
-    din: usize,
-) {
-    grad_kernel(delta, acts, gw, gb, rows, din);
-}
-
 /// Back-propagate a chunk's deltas through one layer:
 /// `prev[r,·] = Σ_o delta[r,o] · w[o,·]`, then ReLU-masked at the previous
-/// pre-activation. Outputs are the outer loop per row — the accumulation
-/// order of the scalar reference — and each weight row is a contiguous
-/// axpy. Zero deltas skip their whole weight row.
+/// pre-activation. Input widths [`HIDDEN_WIDTH`] and [`FEATURE_DIM`] run
+/// [`delta_fixed`], every other width [`delta_generic`]; both agree bit
+/// for bit.
 #[inline(always)]
 fn delta_kernel(
+    delta: &[f64],
+    w: &[f64],
+    pre_prev: &[f64],
+    prev: &mut [f64],
+    rows: usize,
+    din: usize,
+    dout: usize,
+) {
+    match din {
+        HIDDEN_WIDTH => delta_fixed::<HIDDEN_WIDTH>(delta, w, pre_prev, prev, rows, dout),
+        FEATURE_DIM => delta_fixed::<FEATURE_DIM>(delta, w, pre_prev, prev, rows, dout),
+        _ => delta_generic(delta, w, pre_prev, prev, rows, din, dout),
+    }
+}
+
+/// Fixed-width delta body: each row's `N`-wide back-propagated delta
+/// accumulates in a `[f64; N]` register accumulator over the outputs in
+/// ascending order (the scalar reference's order), every output adding
+/// its term; the ReLU mask is a select, not a branch.
+#[inline(always)]
+fn delta_fixed<const N: usize>(
+    delta: &[f64],
+    w: &[f64],
+    pre_prev: &[f64],
+    prev: &mut [f64],
+    rows: usize,
+    dout: usize,
+) {
+    let wrows = w[..dout * N].as_chunks::<N>().0;
+    let rows = delta[..rows * dout]
+        .chunks_exact(dout)
+        .zip(pre_prev[..rows * N].as_chunks::<N>().0)
+        .zip(prev[..rows * N].as_chunks_mut::<N>().0);
+    for ((drow, zrow), prow) in rows {
+        let mut acc = [0.0f64; N];
+        for (&d, wrow) in drow.iter().zip(wrows) {
+            for (p, &wv) in acc.iter_mut().zip(wrow) {
+                *p += d * wv;
+            }
+        }
+        for ((p, &z), &g) in prow.iter_mut().zip(zrow).zip(&acc) {
+            *p = if z <= 0.0 { 0.0 } else { g };
+        }
+    }
+}
+
+/// Generic delta body for any layer shape. Outputs are the outer loop per
+/// row — the accumulation order of the scalar reference — and each weight
+/// row is a contiguous axpy. Zero deltas skip their whole weight row.
+#[inline(always)]
+fn delta_generic(
     delta: &[f64],
     w: &[f64],
     pre_prev: &[f64],
@@ -422,91 +567,15 @@ fn delta_kernel(
     }
 }
 
-/// [`delta_kernel`] compiled with AVX2 enabled.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn delta_kernel_avx2(
-    delta: &[f64],
-    w: &[f64],
-    pre_prev: &[f64],
-    prev: &mut [f64],
-    rows: usize,
-    din: usize,
-    dout: usize,
-) {
-    delta_kernel(delta, w, pre_prev, prev, rows, din, dout);
-}
-
-/// [`layer_kernel`] compiled with AVX-512F enabled (8-wide f64 lanes).
-/// Element-wise vectorisation only — per-output accumulation chains are
-/// unchanged, so results stay bit-identical to the scalar kernel (Rust
-/// does not contract mul+add into FMA).
-///
-/// # Safety
-/// Caller must have verified AVX-512F support
-/// (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn layer_kernel_avx512(
-    a: &[f64],
-    b: &mut [f64],
-    wt: &[f64],
-    bias: &[f64],
-    n: usize,
-    din: usize,
-) {
-    layer_kernel(a, b, wt, bias, n, din);
-}
-
-/// [`grad_kernel`] compiled with AVX-512F enabled.
-///
-/// # Safety
-/// Caller must have verified AVX-512F support
-/// (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn grad_kernel_avx512(
-    delta: &[f64],
-    acts: &[f64],
-    gw: &mut [f64],
-    gb: &mut [f64],
-    rows: usize,
-    din: usize,
-) {
-    grad_kernel(delta, acts, gw, gb, rows, din);
-}
-
-/// [`delta_kernel`] compiled with AVX-512F enabled.
-///
-/// # Safety
-/// Caller must have verified AVX-512F support
-/// (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn delta_kernel_avx512(
-    delta: &[f64],
-    w: &[f64],
-    pre_prev: &[f64],
-    prev: &mut [f64],
-    rows: usize,
-    din: usize,
-    dout: usize,
-) {
-    delta_kernel(delta, w, pre_prev, prev, rows, din, dout);
-}
-
 /// One Adam step over a parameter slice: per element,
 /// `m ← β₁m + (1-β₁)g`, `v ← β₂v + (1-β₂)g²`,
 /// `w ← w - lr·(m/bc₁)/(√(v/bc₂) + ε)`, with `g` pre-scaled by the
 /// batch-mean factor. Exactly the reference trainer's update, element for
 /// element — every lane runs the identical operation chain and IEEE
 /// division/square root are correctly rounded at any vector width, so the
-/// vectorised wrappers below produce bit-identical parameters. Worth
-/// dispatching: the div+sqrt dependency chains make this update a fixed
-/// per-step cost comparable to a layer's forward pass.
+/// vectorised tiers produce bit-identical parameters. Worth dispatching:
+/// the div+sqrt dependency chains make this update a fixed per-step cost
+/// comparable to a layer's forward pass.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn adam_kernel(
@@ -527,58 +596,39 @@ fn adam_kernel(
     }
 }
 
-/// [`adam_kernel`] compiled with AVX2 enabled.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn adam_kernel_avx2(
-    w: &mut [f64],
-    m: &mut [f64],
-    v: &mut [f64],
-    g: &[f64],
-    scale: f64,
-    lr: f64,
-    bc1: f64,
-    bc2: f64,
-) {
-    adam_kernel(w, m, v, g, scale, lr, bc1, bc2);
-}
-
-/// [`adam_kernel`] compiled with AVX-512F enabled.
-///
-/// # Safety
-/// Caller must have verified AVX-512F support
-/// (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn adam_kernel_avx512(
-    w: &mut [f64],
-    m: &mut [f64],
-    v: &mut [f64],
-    g: &[f64],
-    scale: f64,
-    lr: f64,
-    bc1: f64,
-    bc2: f64,
-) {
-    adam_kernel(w, m, v, g, scale, lr, bc1, bc2);
-}
-
-/// Runtime SIMD tier for the training kernels, detected once per `train`
-/// call. Every tier runs the same element-wise operation sequence — the
-/// tier changes vector width, never accumulation order — so trained
-/// weights are identical across hosts.
-#[derive(Clone, Copy, PartialEq)]
+/// Runtime SIMD tier for the MLP kernels, detected once per `train` call
+/// and once per assembled model. Every tier runs the same element-wise
+/// operation sequence — the tier changes vector width, never accumulation
+/// order (Rust does not contract mul+add into FMA) — so trained weights
+/// and predictions are identical across hosts.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Simd {
     #[cfg(target_arch = "x86_64")]
     Avx512,
     #[cfg(target_arch = "x86_64")]
     Avx2,
     Scalar,
+}
+
+/// Run `f` with AVX-512F enabled (8-wide f64 lanes).
+///
+/// # Safety
+/// Caller must have verified AVX-512F support
+/// (`is_x86_feature_detected!`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn with_avx512(f: impl FnOnce()) {
+    f()
+}
+
+/// Run `f` with AVX2 enabled (4-wide f64 lanes).
+///
+/// # Safety
+/// Caller must have verified AVX2 support (`is_x86_feature_detected!`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn with_avx2(f: impl FnOnce()) {
+    f()
 }
 
 impl Simd {
@@ -595,30 +645,37 @@ impl Simd {
         Simd::Scalar
     }
 
-    #[inline]
-    fn layer(self, a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, din: usize) {
+    /// Run `f` under this tier's `target_feature` wrapper — one boundary
+    /// per kernel call, not per axpy. Callers pass an `#[inline(always)]`
+    /// closure over an `#[inline(always)]` kernel, so the whole body
+    /// inlines into the wrapper and compiles at the tier's vector width.
+    #[inline(always)]
+    fn run(self, f: impl FnOnce()) {
         match self {
             // SAFETY: variants are selected only after runtime feature
             // detection in `detect`.
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx512 => unsafe { layer_kernel_avx512(a, b, wt, bias, n, din) },
+            Simd::Avx512 => unsafe { with_avx512(f) },
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { layer_kernel_avx2(a, b, wt, bias, n, din) },
-            Simd::Scalar => layer_kernel(a, b, wt, bias, n, din),
+            Simd::Avx2 => unsafe { with_avx2(f) },
+            Simd::Scalar => f(),
         }
     }
 
     #[inline]
+    fn layer(self, a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, din: usize) {
+        self.run(
+            #[inline(always)]
+            || layer_kernel(a, b, wt, bias, n, din),
+        )
+    }
+
+    #[inline]
     fn grad(self, delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows: usize, din: usize) {
-        match self {
-            // SAFETY: variants are selected only after runtime feature
-            // detection in `detect`.
-            #[cfg(target_arch = "x86_64")]
-            Simd::Avx512 => unsafe { grad_kernel_avx512(delta, acts, gw, gb, rows, din) },
-            #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { grad_kernel_avx2(delta, acts, gw, gb, rows, din) },
-            Simd::Scalar => grad_kernel(delta, acts, gw, gb, rows, din),
-        }
+        self.run(
+            #[inline(always)]
+            || grad_kernel(delta, acts, gw, gb, rows, din),
+        )
     }
 
     #[inline]
@@ -633,15 +690,10 @@ impl Simd {
         din: usize,
         dout: usize,
     ) {
-        match self {
-            // SAFETY: variants are selected only after runtime feature
-            // detection in `detect`.
-            #[cfg(target_arch = "x86_64")]
-            Simd::Avx512 => unsafe { delta_kernel_avx512(delta, w, pre_prev, prev, rows, din, dout) },
-            #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { delta_kernel_avx2(delta, w, pre_prev, prev, rows, din, dout) },
-            Simd::Scalar => delta_kernel(delta, w, pre_prev, prev, rows, din, dout),
-        }
+        self.run(
+            #[inline(always)]
+            || delta_kernel(delta, w, pre_prev, prev, rows, din, dout),
+        )
     }
 
     #[inline]
@@ -657,20 +709,15 @@ impl Simd {
         bc1: f64,
         bc2: f64,
     ) {
-        match self {
-            // SAFETY: variants are selected only after runtime feature
-            // detection in `detect`.
-            #[cfg(target_arch = "x86_64")]
-            Simd::Avx512 => unsafe { adam_kernel_avx512(w, m, v, g, scale, lr, bc1, bc2) },
-            #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { adam_kernel_avx2(w, m, v, g, scale, lr, bc1, bc2) },
-            Simd::Scalar => adam_kernel(w, m, v, g, scale, lr, bc1, bc2),
-        }
+        self.run(
+            #[inline(always)]
+            || adam_kernel(w, m, v, g, scale, lr, bc1, bc2),
+        )
     }
 }
 
 /// Forward one chunk of rows through the network and back-propagate its
-/// gradient partial sums into `st.gw`/`st.gb` (cleared first).
+/// gradient partial sums into `st.gw`/`st.gb` (overwritten).
 ///
 /// The forward pass is the inference engine's batched kernel, so the
 /// pre-activations equal the scalar reference's per-sample forward bit for
@@ -697,12 +744,6 @@ fn chunk_forward_backward(
         gw,
         gb,
     } = st;
-    for g in gw.iter_mut() {
-        g.fill(0.0);
-    }
-    for g in gb.iter_mut() {
-        g.fill(0.0);
-    }
     // Forward. Layer 0 reads the caller's rows in place; buffers are only
     // re-zeroed when the chunk width changes (the kernels overwrite every
     // cell they read).
@@ -898,10 +939,11 @@ fn train_layers(
     let mut order: Vec<usize> = (0..n).collect();
     let simd = Simd::detect();
     // The chunked reduction makes weights bit-identical under any
-    // dispatch, so dispatch is a pure perf choice: skip the pool when
-    // it cannot add concurrency (single-core host: one pool worker plus
-    // the caller time-share one CPU, paying context switches per
-    // minibatch for nothing).
+    // dispatch, so dispatch is a pure perf choice: skip the pool on hosts
+    // with at most two cores. A minibatch is ~4 chunks of tens of µs each,
+    // too little work to pay for a condvar fan-out per minibatch: at the
+    // campaign shape on a 2-core host, pooled training measured slower
+    // than serial, never faster.
     let serial = cfg.serial || rayon::pool::max_concurrency() <= 2;
     let mut wt: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
     refresh_transposed(&layers, &mut wt);
@@ -1007,16 +1049,7 @@ fn forward_rows_raw(
     let n_layers = layers.len();
     for (l, (layer, wt)) in layers.iter().zip(&plan.wt).enumerate() {
         let (din, dout) = (layer.in_dim, layer.out_dim);
-        #[cfg(target_arch = "x86_64")]
-        if plan.use_avx2 {
-            // SAFETY: `use_avx2` is set only after runtime feature
-            // detection.
-            unsafe { layer_kernel_avx2(&ws.a, &mut ws.b, wt, &layer.b, n, din) };
-        } else {
-            layer_kernel(&ws.a, &mut ws.b, wt, &layer.b, n, din);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        layer_kernel(&ws.a, &mut ws.b, wt, &layer.b, n, din);
+        plan.simd.layer(&ws.a, &mut ws.b, wt, &layer.b, n, din);
         if l + 1 < n_layers {
             for v in ws.b[..n * dout].iter_mut() {
                 *v = v.max(0.0);
@@ -1033,9 +1066,11 @@ impl Mlp {
     /// Minibatch matrix form of the original per-sample trainer (preserved
     /// verbatim as [`Mlp::train_reference`]): each minibatch is packed into
     /// a row matrix, forwarded through the inference engine's batched
-    /// AVX2-dispatched kernels, and back-propagated with batched gradient
-    /// kernels. Gradients are computed per fixed [`GRAD_CHUNK`]-row chunk
-    /// (fanned out over the worker pool unless `cfg.serial`) and reduced in
+    /// SIMD-dispatched kernels, and back-propagated with batched gradient
+    /// kernels (register-resident fixed-width bodies for the paper's
+    /// widths). Gradients are computed per fixed [`GRAD_CHUNK`]-row chunk
+    /// (fanned out over the worker pool unless `cfg.serial` or the host
+    /// has at most two cores) and reduced in
     /// chunk-index order, so the trained weights are bit-identical at any
     /// thread count. RNG consumption (init + per-epoch shuffle) and the
     /// Adam update match the reference exactly; within a chunk every
@@ -1828,6 +1863,100 @@ mod tests {
                 }
                 for (j, (g, s)) in gb_ser[l].iter().zip(&sgb[l]).enumerate() {
                     prop_assert!((g - s).abs() <= 1e-9, "layer {} gb[{}]: {} vs {}", l, j, g, s);
+                }
+            }
+        }
+    }
+
+    /// Every SIMD tier this host can run.
+    fn host_tiers() -> Vec<Simd> {
+        let mut tiers = vec![Simd::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(Simd::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tiers.push(Simd::Avx512);
+            }
+        }
+        tiers
+    }
+
+    /// Kernel inputs mixing exact `+0.0`, `-0.0`, negatives and positives.
+    fn mixed(rng: &mut SeededRng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| match rng.index(5) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.range_f64(-1.0, 1.0),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The register-resident fixed-width kernel bodies (which add every
+    /// term) agree bit for bit with the generic bodies (which skip zero
+    /// terms) on every fixed-width shape, every partial chunk and every
+    /// SIMD tier the host has — DESIGN.md §7 rule (3), checked directly.
+    /// Accumulators start where training starts them: gradient sums at
+    /// `+0.0`, forward sums at a bias that is never `-0.0` (Adam moves a
+    /// `+0.0` bias only by nonzero steps, and an exact cancellation rounds
+    /// to `+0.0`).
+    #[test]
+    fn fixed_width_kernels_match_generic_bit_for_bit() {
+        let mut rng = SeededRng::new(0xF1C5);
+        let shapes = [
+            (FEATURE_DIM, HIDDEN_WIDTH),
+            (HIDDEN_WIDTH, HIDDEN_WIDTH),
+            (HIDDEN_WIDTH, 1),
+            (HIDDEN_WIDTH, FEATURE_DIM),
+            (HIDDEN_WIDTH, 3),
+        ];
+        for simd in host_tiers() {
+            for rows in 1..=GRAD_CHUNK {
+                for (din, dout) in shapes {
+                    let acts = mixed(&mut rng, rows * din);
+                    let pre_prev = mixed(&mut rng, rows * din);
+                    let delta = mixed(&mut rng, rows * dout);
+                    let w = mixed(&mut rng, dout * din);
+                    // `+ 0.0` turns a `-0.0` bias into `+0.0`.
+                    let bias: Vec<f64> =
+                        mixed(&mut rng, dout).into_iter().map(|b| b + 0.0).collect();
+                    let what = format!("{simd:?} rows {rows} shape {din}x{dout}");
+
+                    // Output buffers start as NaN: both bodies must write
+                    // every cell they own.
+                    let mut fixed = vec![f64::NAN; rows * dout];
+                    let mut generic = fixed.clone();
+                    simd.layer(&acts, &mut fixed, &w, &bias, rows, din);
+                    simd.run(
+                        #[inline(always)]
+                        || layer_generic(&acts, &mut generic, &w, &bias, rows, din),
+                    );
+                    assert_eq!(bits(&fixed), bits(&generic), "forward, {what}");
+
+                    let (mut gw_f, mut gb_f) = (vec![f64::NAN; dout * din], vec![f64::NAN; dout]);
+                    let (mut gw_g, mut gb_g) = (gw_f.clone(), gb_f.clone());
+                    simd.grad(&delta, &acts, &mut gw_f, &mut gb_f, rows, din);
+                    simd.run(
+                        #[inline(always)]
+                        || grad_generic(&delta, &acts, &mut gw_g, &mut gb_g, rows, din),
+                    );
+                    assert_eq!(bits(&gw_f), bits(&gw_g), "grad weights, {what}");
+                    assert_eq!(bits(&gb_f), bits(&gb_g), "grad biases, {what}");
+
+                    let mut prev_f = vec![f64::NAN; rows * din];
+                    let mut prev_g = prev_f.clone();
+                    simd.delta(&delta, &w, &pre_prev, &mut prev_f, rows, din, dout);
+                    simd.run(
+                        #[inline(always)]
+                        || delta_generic(&delta, &w, &pre_prev, &mut prev_g, rows, din, dout),
+                    );
+                    assert_eq!(bits(&prev_f), bits(&prev_g), "delta, {what}");
                 }
             }
         }

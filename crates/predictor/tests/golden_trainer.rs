@@ -13,8 +13,17 @@
 //! A third pin: training with `serial: true` (all gradient chunks on the
 //! calling thread) and `serial: false` (worker-pool fan-out) must produce
 //! bit-identical models — thread-count independence is a hard contract.
+//!
+//! The bit-for-bit pins run on both kernel families: non-paper widths
+//! take the generic kernels, while the paper's 3 × 32 net — on dense
+//! synthetic rows and on profiled Fig. 8 rows (`FEATURE_DIM` input,
+//! multi-hot zeros) — takes the register-resident fixed-width ones.
 
-use predictor::{Dataset, LatencyModel, Mlp, MlpConfig, QuantileMlp};
+use dnn_models::{ModelId, ModelLibrary};
+use gpu_sim::{GpuSpec, NoiseModel};
+use predictor::{
+    profile_groups, sample_groups, Dataset, LatencyModel, Mlp, MlpConfig, QuantileMlp, FEATURE_DIM,
+};
 use workload::SeededRng;
 
 const TAUS: [f64; 3] = [0.9, 0.95, 0.99];
@@ -28,6 +37,85 @@ fn synthetic(n: usize, seed: u64) -> Dataset {
         d.push(x, y);
     }
     d
+}
+
+/// A small profiled campaign: sampled operator groups of two pairs and a
+/// triplet, profiled on the simulated A100 and encoded as Fig. 8 rows.
+fn profiled(per_set: usize) -> Dataset {
+    use ModelId::*;
+    let lib = ModelLibrary::new();
+    let gpu = GpuSpec::a100();
+    let noise = NoiseModel::calibrated();
+    let mut d = Dataset::new();
+    let sets = [
+        vec![ResNet50, Bert],
+        vec![Vgg16, InceptionV3],
+        vec![ResNet101, ResNet152, Bert],
+    ];
+    for (i, set) in sets.iter().enumerate() {
+        let specs = sample_groups(set, per_set, &lib, 31 + i as u64);
+        d.extend(Dataset::from_profiles(
+            &profile_groups(&specs, &lib, &gpu, &noise, 41 + i as u64, 2),
+            &lib,
+        ));
+    }
+    d
+}
+
+#[test]
+fn profiled_rows_match_reference_bit_for_bit() {
+    let d = profiled(60);
+    assert_eq!(d.dim(), FEATURE_DIM);
+    assert!(
+        d.x.iter().flatten().filter(|&&v| v == 0.0).count() > d.len() * FEATURE_DIM / 3,
+        "Fig. 8 rows are expected to be mostly multi-hot/empty-slot zeros"
+    );
+    for quantile in [None, Some(0.9)] {
+        let cfg = MlpConfig {
+            epochs: 6,
+            batch_size: 16,
+            quantile,
+            ..MlpConfig::default()
+        };
+        assert_eq!(
+            Mlp::train(&d, &cfg),
+            Mlp::train_reference(&d, &cfg),
+            "quantile {quantile:?}"
+        );
+    }
+    let cfg = MlpConfig {
+        epochs: 6,
+        batch_size: 16,
+        ..MlpConfig::default()
+    };
+    assert_eq!(
+        QuantileMlp::train(&d, &cfg, &TAUS),
+        QuantileMlp::train_reference(&d, &cfg, &TAUS)
+    );
+}
+
+#[test]
+fn non_paper_widths_match_reference_bit_for_bit() {
+    // `[20, 40]` runs every kernel on its generic body. `[24, 40]` mixes
+    // the two: a hidden layer as wide as `FEATURE_DIM` (24) takes the
+    // fixed-width bodies and the 40-wide one the generic ones.
+    let d = synthetic(300, 14);
+    for hidden in [vec![20, 40], vec![24, 40]] {
+        for quantile in [None, Some(0.9)] {
+            let cfg = MlpConfig {
+                hidden: hidden.clone(),
+                epochs: 8,
+                batch_size: 16,
+                quantile,
+                ..MlpConfig::default()
+            };
+            assert_eq!(
+                Mlp::train(&d, &cfg),
+                Mlp::train_reference(&d, &cfg),
+                "hidden {hidden:?} quantile {quantile:?}"
+            );
+        }
+    }
 }
 
 #[test]

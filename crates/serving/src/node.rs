@@ -661,12 +661,13 @@ mod tests {
     /// spin on it forever; the livelock guard must terminate and flag it.
     struct StallScheduler;
     impl abacus_core::Scheduler for StallScheduler {
-        fn decide(&mut self, _now_ms: f64, _queue: &[Query]) -> abacus_core::RoundDecision {
-            abacus_core::RoundDecision {
-                dropped: vec![],
-                group: None,
-                overhead_ms: 0.0,
-            }
+        fn decide_into(
+            &mut self,
+            _now_ms: f64,
+            _queue: &[Query],
+            out: &mut abacus_core::RoundDecision,
+        ) {
+            *out = abacus_core::RoundDecision::idle();
         }
         fn on_group_complete(&mut self, _duration_ms: f64) {}
         fn name(&self) -> &'static str {

@@ -45,8 +45,11 @@ echo "== certification suites (quantile golden, conformal coverage, byte-identit
 # regime, 1e-9 otherwise), split-conformal calibration must hit its
 # coverage band on held-out data, and a run that merely *carries* a
 # certifier with the `conformal` flag off must stay byte-identical to the
-# pre-certification serving path.
+# pre-certification serving path. The trainer's register-resident
+# fixed-width kernels must match the generic (zero-skipping) kernels bit
+# for bit on every partial chunk and every SIMD tier the host has.
 cargo test -q -p predictor --test golden_trainer
+cargo test -q -p predictor --lib fixed_width_kernels_match_generic_bit_for_bit
 cargo test -q -p predictor --lib conformal
 cargo test -q -p abacus-core --lib conformal
 cargo test -q -p serving --lib certified
