@@ -10,9 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dnn_models::{ModelId, QueryInput};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
-use serving::{
-    mps_victim_latencies, run_colocation, ColocationConfig, MpsConfig, PolicyKind,
-};
+use serving::{mps_victim_latencies, ColocationConfig, MpsConfig, PolicyKind, RunSpec};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -100,20 +98,19 @@ fn fig10(c: &mut Criterion, fx: &Fixture) {
 /// Figs. 14/15: one pair, all four policies, QoS load.
 fn fig14_15(c: &mut Criterion, fx: &Fixture) {
     let model: Arc<dyn LatencyModel> = fx.model();
-    let cfg = colocation_cfg();
+    let noise = NoiseModel::calibrated();
+    let pair = [ModelId::ResNet152, ModelId::Bert];
+    let specs: Vec<RunSpec> = PolicyKind::ALL
+        .into_iter()
+        .map(|p| {
+            let pred = (p == PolicyKind::Abacus).then(|| model.clone());
+            RunSpec::new(&pair, p, pred, &fx.lib, &fx.gpu, &noise, &colocation_cfg())
+        })
+        .collect();
     c.bench_function("fig14_qos_latency", |b| {
         b.iter(|| {
-            for p in PolicyKind::ALL {
-                let pred = (p == PolicyKind::Abacus).then(|| model.clone());
-                black_box(run_colocation(
-                    &[ModelId::ResNet152, ModelId::Bert],
-                    p,
-                    pred,
-                    &fx.lib,
-                    &fx.gpu,
-                    &NoiseModel::calibrated(),
-                    &cfg,
-                ));
+            for spec in &specs {
+                black_box(serving::run(spec, None));
             }
         })
     });
@@ -126,18 +123,18 @@ fn fig16(c: &mut Criterion, fx: &Fixture) {
         small_inputs: true,
         ..colocation_cfg()
     };
+    let noise = NoiseModel::calibrated();
+    let spec = RunSpec::new(
+        &[ModelId::ResNet152, ModelId::Bert],
+        PolicyKind::Abacus,
+        Some(model),
+        &fx.lib,
+        &fx.gpu,
+        &noise,
+        &cfg,
+    );
     c.bench_function("fig16_small_dnns", |b| {
-        b.iter(|| {
-            black_box(run_colocation(
-                &[ModelId::ResNet152, ModelId::Bert],
-                PolicyKind::Abacus,
-                Some(model.clone()),
-                &fx.lib,
-                &fx.gpu,
-                &NoiseModel::calibrated(),
-                &cfg,
-            ))
-        })
+        b.iter(|| black_box(serving::run(&spec, None)))
     });
 }
 
@@ -148,18 +145,18 @@ fn fig17(c: &mut Criterion, fx: &Fixture) {
         qps_per_service: 50.0,
         ..colocation_cfg()
     };
+    let noise = NoiseModel::calibrated();
+    let spec = RunSpec::new(
+        &[ModelId::ResNet152, ModelId::Bert],
+        PolicyKind::Abacus,
+        Some(model),
+        &fx.lib,
+        &fx.gpu,
+        &noise,
+        &cfg,
+    );
     c.bench_function("fig17_throughput", |b| {
-        b.iter(|| {
-            black_box(run_colocation(
-                &[ModelId::ResNet152, ModelId::Bert],
-                PolicyKind::Abacus,
-                Some(model.clone()),
-                &fx.lib,
-                &fx.gpu,
-                &NoiseModel::calibrated(),
-                &cfg,
-            ))
-        })
+        b.iter(|| black_box(serving::run(&spec, None)))
     });
 }
 
@@ -170,50 +167,36 @@ fn fig18_19(c: &mut Criterion, fx: &Fixture) {
         qps_per_service: 50.0 / 3.0,
         ..colocation_cfg()
     };
+    let noise = NoiseModel::calibrated();
+    let spec = RunSpec::new(
+        &[ModelId::ResNet152, ModelId::Vgg19, ModelId::Bert],
+        PolicyKind::Abacus,
+        Some(model),
+        &fx.lib,
+        &fx.gpu,
+        &noise,
+        &cfg,
+    );
     c.bench_function("fig18_multiway", |b| {
-        b.iter(|| {
-            black_box(run_colocation(
-                &[ModelId::ResNet152, ModelId::Vgg19, ModelId::Bert],
-                PolicyKind::Abacus,
-                Some(model.clone()),
-                &fx.lib,
-                &fx.gpu,
-                &NoiseModel::calibrated(),
-                &cfg,
-            ))
-        })
+        b.iter(|| black_box(serving::run(&spec, None)))
     });
 }
 
 /// Figs. 20/21: a pair on a MIG 2g.10gb slice (full-A100 QoS targets).
 fn fig20_21(c: &mut Criterion, fx: &Fixture) {
     let slice = fx.gpu.mig_slice(gpu_sim::MigProfile::TwoG10Gb);
-    let services = vec![
-        serving::ServiceSpec {
-            model: ModelId::ResNet152,
-            qos_ms: fx.lib.qos_target_ms(ModelId::ResNet152, &fx.gpu),
-        },
-        serving::ServiceSpec {
-            model: ModelId::Bert,
-            qos_ms: fx.lib.qos_target_ms(ModelId::Bert, &fx.gpu),
-        },
-    ];
+    let pair = [ModelId::ResNet152, ModelId::Bert];
     let cfg = ColocationConfig {
         qps_per_service: 10.0,
         ..colocation_cfg()
     };
+    let noise = NoiseModel::calibrated();
+    let spec = RunSpec {
+        services: serving::services_for(&pair, &fx.lib, &fx.gpu, false),
+        ..RunSpec::new(&pair, PolicyKind::Fcfs, None, &fx.lib, &slice, &noise, &cfg)
+    };
     c.bench_function("fig20_mig", |b| {
-        b.iter(|| {
-            black_box(serving::run_with_services(
-                &services,
-                PolicyKind::Fcfs,
-                None,
-                &fx.lib,
-                &slice,
-                &NoiseModel::calibrated(),
-                &cfg,
-            ))
-        })
+        b.iter(|| black_box(serving::run(&spec, None)))
     });
 }
 
@@ -229,14 +212,17 @@ fn fig22(c: &mut Criterion, fx: &Fixture) {
     let model: Arc<dyn LatencyModel> = fx.model();
     c.bench_function("fig22_cluster", |b| {
         b.iter(|| {
-            black_box(cluster::run_cluster(
-                cluster::ClusterSystem::AbacusK8s,
-                &cfg,
-                &fx.lib,
-                &v100,
-                &NoiseModel::calibrated(),
-                Some(model.clone()),
-            ))
+            black_box(
+                cluster::run_cluster_detailed(
+                    cluster::ClusterSystem::AbacusK8s,
+                    &cfg,
+                    &fx.lib,
+                    &v100,
+                    &NoiseModel::calibrated(),
+                    Some(model.clone()),
+                )
+                .records,
+            )
         })
     });
 }

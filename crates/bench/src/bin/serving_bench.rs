@@ -34,11 +34,12 @@ use dnn_models::ModelId;
 use gpu_sim::NoiseModel;
 use predictor::LatencyModel;
 use rayon::prelude::*;
-use serving::{run_colocation, ColocationConfig, ColocationResult, PolicyKind};
+use serving::{ColocationConfig, PolicyKind, RunOutcome, RunSpec};
 use std::io::Write as _;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
+use telemetry::Telemetry;
 use workload::fork_seed;
 
 /// A metric fails the `--check` gate past this factor.
@@ -57,7 +58,7 @@ struct CellOutcome {
 }
 
 impl CellOutcome {
-    fn of(r: &ColocationResult) -> Self {
+    fn of(r: &RunOutcome) -> Self {
         Self {
             p99: r.normalized_p99(),
             violations: r.violation_ratio(),
@@ -66,14 +67,15 @@ impl CellOutcome {
     }
 }
 
-fn run_cell(
-    fx: &Fixture,
-    noise: &NoiseModel,
+/// The spec of one fig14-style cell.
+fn cell_spec<'a>(
+    fx: &'a Fixture,
+    noise: &'a NoiseModel,
     pair: &[ModelId],
     policy: PolicyKind,
     horizon_ms: f64,
     seed: u64,
-) -> ColocationResult {
+) -> RunSpec<'a> {
     // Pin the prediction-round latency: the default config calibrates it
     // from wall-clock timing at scheduler startup, which would make the
     // Abacus cells irreproducible (and the serial-vs-parallel identity
@@ -91,7 +93,18 @@ fn run_cell(
     };
     let pred: Option<Arc<dyn LatencyModel>> =
         (policy == PolicyKind::Abacus).then(|| fx.model());
-    run_colocation(pair, policy, pred, &fx.lib, &fx.gpu, noise, &cfg)
+    RunSpec::new(pair, policy, pred, &fx.lib, &fx.gpu, noise, &cfg)
+}
+
+fn run_cell(
+    fx: &Fixture,
+    noise: &NoiseModel,
+    pair: &[ModelId],
+    policy: PolicyKind,
+    horizon_ms: f64,
+    seed: u64,
+) -> RunOutcome {
+    serving::run(&cell_spec(fx, noise, pair, policy, horizon_ms, seed), None)
 }
 
 /// The Abacus cell of [`run_cell`] with telemetry + run-health monitors
@@ -102,29 +115,10 @@ fn run_cell_traced(
     pair: &[ModelId],
     horizon_ms: f64,
     seed: u64,
-) -> ColocationResult {
-    let abacus = abacus_core::AbacusConfig {
-        predict_round_ms: Some(0.09),
-        ..Default::default()
-    };
-    let cfg = ColocationConfig {
-        qps_per_service: 50.0 / pair.len() as f64,
-        horizon_ms,
-        seed,
-        abacus,
-        ..ColocationConfig::default()
-    };
-    let mut tel = telemetry::Telemetry::with_health();
-    let (r, _) = serving::run_colocation_traced(
-        pair,
-        PolicyKind::Abacus,
-        Some(fx.model()),
-        &fx.lib,
-        &fx.gpu,
-        noise,
-        &cfg,
-        &mut tel,
-    );
+) -> RunOutcome {
+    let mut tel = Telemetry::with_health();
+    let spec = cell_spec(fx, noise, pair, PolicyKind::Abacus, horizon_ms, seed);
+    let r = serving::run(&spec, Some(&mut tel));
     std::hint::black_box(tel.registry.get(telemetry::Counter::QueriesArrived));
     r
 }

@@ -9,7 +9,7 @@ use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{LatencyModel, MODEL_SLOT_BASE, SLOT_WIDTH};
 use rayon::prelude::*;
-use serving::{run_colocation, ColocationConfig, ColocationResult, PolicyKind};
+use serving::{ColocationConfig, PolicyKind, RunOutcome, RunSpec};
 use std::sync::Arc;
 use workload::fork_seed;
 
@@ -56,7 +56,7 @@ fn run_cells(parallel: bool) -> String {
     let cells: Vec<(usize, PolicyKind)> = (0..pairs.len())
         .flat_map(|row| PolicyKind::ALL.into_iter().map(move |p| (row, p)))
         .collect();
-    let run_one = |&(row, policy): &(usize, PolicyKind)| -> ColocationResult {
+    let run_one = |&(row, policy): &(usize, PolicyKind)| -> RunOutcome {
         // Pinned prediction-round latency: the default config calibrates
         // it from wall-clock timing, which would differ per run/thread.
         let abacus = abacus_core::AbacusConfig {
@@ -71,9 +71,10 @@ fn run_cells(parallel: bool) -> String {
             ..ColocationConfig::default()
         };
         let pred = (policy == PolicyKind::Abacus).then(|| model.clone());
-        run_colocation(pairs[row], policy, pred, &lib, &gpu, &noise, &cfg)
+        let spec = RunSpec::new(pairs[row], policy, pred, &lib, &gpu, &noise, &cfg);
+        serving::run(&spec, None)
     };
-    let results: Vec<ColocationResult> = if parallel {
+    let results: Vec<RunOutcome> = if parallel {
         cells.par_iter().map(run_one).collect()
     } else {
         cells.iter().map(run_one).collect()

@@ -12,7 +12,7 @@ use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{LatencyModel, LinearRegression};
-use serving::{collect_dataset, run_colocation, ColocationConfig, PolicyKind, TrainerConfig};
+use serving::{collect_dataset, ColocationConfig, PolicyKind, RunSpec, TrainerConfig};
 use std::sync::Arc;
 
 /// Pessimistic predictor: assumes no overlap at all (the Fig. 6a
@@ -60,7 +60,16 @@ pub fn run(opts: &Options) {
             abacus,
             ..base_cfg.clone()
         };
-        let r = run_colocation(&pair, PolicyKind::Abacus, Some(predictor), &lib, &gpu, &noise, &cfg);
+        let spec = RunSpec::new(
+            &pair,
+            PolicyKind::Abacus,
+            Some(predictor),
+            &lib,
+            &gpu,
+            &noise,
+            &cfg,
+        );
+        let r = serving::run(&spec, None);
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
         csv.write_record(name, &row).expect("row");
         table.row_f64(name.to_string(), &row, 3);
@@ -148,7 +157,7 @@ pub fn run(opts: &Options) {
         ("mlp predictor", as_model(&vgg_mlp)),
         ("linear-regression predictor", vgg_lr),
     ] {
-        let r = run_colocation(
+        let spec = RunSpec::new(
             &vgg,
             PolicyKind::Abacus,
             Some(model),
@@ -157,6 +166,7 @@ pub fn run(opts: &Options) {
             &noise,
             &peak_cfg,
         );
+        let r = serving::run(&spec, None);
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
         csv.write_record(&format!("vgg-peak: {name}"), &row).expect("row");
         table2.row_f64(name.to_string(), &row, 3);
@@ -181,7 +191,7 @@ pub fn run(opts: &Options) {
     ));
     let mut table3 = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);
     for (name, model) in [("mean MLP", as_model(&mlp)), ("q90 MLP (pinball loss)", q90)] {
-        let r = run_colocation(
+        let spec = RunSpec::new(
             &pair,
             PolicyKind::Abacus,
             Some(model),
@@ -190,6 +200,7 @@ pub fn run(opts: &Options) {
             &noise,
             &base_cfg,
         );
+        let r = serving::run(&spec, None);
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
         csv.write_record(&format!("tail-aware: {name}"), &row).expect("row");
         table3.row_f64(name.to_string(), &row, 3);
@@ -219,7 +230,7 @@ pub fn run(opts: &Options) {
         ("unfused graphs", lib.clone(), as_model(&mlp)),
         ("fused graphs (Rammer/TensorRT-style)", fused_lib.clone(), fused_model),
     ] {
-        let r = run_colocation(
+        let spec = RunSpec::new(
             &pair,
             PolicyKind::Abacus,
             Some(model),
@@ -228,6 +239,7 @@ pub fn run(opts: &Options) {
             &noise,
             &base_cfg,
         );
+        let r = serving::run(&spec, None);
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
         csv.write_record(&format!("fusion: {name}"), &row).expect("row");
         table4.row_f64(name.to_string(), &row, 3);

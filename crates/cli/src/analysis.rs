@@ -7,7 +7,7 @@ use crate::common::{as_model, ensure_predictor, Options};
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{Engine, GpuSpec, NoiseModel};
-use serving::{run_colocation, ColocationConfig, PolicyKind};
+use serving::{ColocationConfig, PolicyKind, RunSpec};
 use std::sync::Arc;
 
 /// Run the latency-anatomy study and emit `results/analysis.csv` +
@@ -49,7 +49,8 @@ pub fn run(opts: &Options) {
     );
     for policy in PolicyKind::ALL {
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(&mlp));
-        let r = run_colocation(&pair, policy, pred, &lib, &gpu, &noise, &cfg);
+        let spec = RunSpec::new(&pair, policy, pred, &lib, &gpu, &noise, &cfg);
+        let r = serving::run(&spec, None);
         let queue = r.all.mean_queue_ms();
         let mean = r.all.mean_latency();
         let service = mean - queue;

@@ -16,7 +16,7 @@ use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use faults::FaultPlan;
 use gpu_sim::{GpuSpec, NoiseModel};
-use serving::{run_colocation_faulty, ColocationConfig, NodeOptions, PolicyKind};
+use serving::{ColocationConfig, NodeOptions, PolicyKind, RunSpec};
 use std::sync::Arc;
 use workload::fork_seed;
 
@@ -104,22 +104,15 @@ pub fn run(opts: &Options) {
                 abacus_plain.clone()
             },
         };
-        let plan = FaultPlan::at_intensity(plan_seed, INTENSITIES[i]);
-        let node_opts = NodeOptions {
-            timeout_factor: variant.defended.then_some(TIMEOUT_FACTOR),
-        };
         let pred = (variant.policy == PolicyKind::Abacus).then(|| as_model(&mlp));
-        let out = run_colocation_faulty(
-            &models,
-            variant.policy,
-            pred,
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            node_opts,
-        );
+        let spec = RunSpec {
+            plan: FaultPlan::at_intensity(plan_seed, INTENSITIES[i]),
+            opts: NodeOptions {
+                timeout_factor: variant.defended.then_some(TIMEOUT_FACTOR),
+            },
+            ..RunSpec::new(&models, variant.policy, pred, &lib, &gpu, &noise, &cfg)
+        };
+        let out = serving::run(&spec, None);
         for violation in &out.invariant_violations {
             eprintln!(
                 "[faults] INVARIANT VIOLATION (intensity {}, {}): {violation}",
@@ -127,8 +120,8 @@ pub fn run(opts: &Options) {
             );
         }
         Cell {
-            violation_ratio: out.result.violation_ratio(),
-            timed_out: out.result.all.timed_out(),
+            violation_ratio: out.violation_ratio(),
+            timed_out: out.all.timed_out(),
             degraded: out.degraded,
             invariant_violations: out.invariant_violations.len(),
         }

@@ -28,7 +28,7 @@ use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use faults::{ArrivalBurst, FaultPlan, PredictorFault};
 use gpu_sim::{GpuSpec, NoiseModel};
-use serving::{run_colocation_observed, ColocationConfig, NodeOptions, PolicyKind};
+use serving::{ColocationConfig, PolicyKind, RunSpec};
 use std::sync::Arc;
 use telemetry::{FlightDump, HealthAlertKind, HealthConfig, SloConfig, Telemetry, WIDTH_CLASSES};
 use workload::fork_seed;
@@ -200,19 +200,12 @@ pub fn run(opts: &Options) {
             },
             ..HealthConfig::default()
         });
-        let out = run_colocation_observed(
-            &models,
-            PolicyKind::Abacus,
-            Some(as_model(&mlp)),
-            None,
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            NodeOptions::default(),
-            Some(&mut tel),
-        );
+        let pred = Some(as_model(&mlp));
+        let run_spec = RunSpec {
+            plan,
+            ..RunSpec::new(&models, PolicyKind::Abacus, pred, &lib, &gpu, &noise, &cfg)
+        };
+        let out = serving::run(&run_spec, Some(&mut tel));
         for violation in &out.invariant_violations {
             eprintln!(
                 "[health] INVARIANT VIOLATION ({}@{}): {violation}",
@@ -244,7 +237,7 @@ pub fn run(opts: &Options) {
         );
         Cell {
             rounds: tel.ledger.rows().len(),
-            violation_ratio: out.result.violation_ratio(),
+            violation_ratio: out.violation_ratio(),
             queue_p50_ms: h.queue_sketch().quantile(50.0),
             queue_p99_ms: h.queue_sketch().quantile(99.0),
             queue_p999_ms: h.queue_sketch().quantile(99.9),

@@ -12,7 +12,7 @@ use crate::common::{as_model, ensure_predictor, map_cells, pair_label, pinned_ab
 use abacus_metrics::{CsvWriter, ServiceStats, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
-use serving::{run_with_services, ColocationConfig, PolicyKind, ServiceSpec};
+use serving::{ColocationConfig, PolicyKind, RunSpec, ServiceSpec};
 use std::sync::Arc;
 
 /// One deployment case: groups of models, each group on its own instance.
@@ -109,13 +109,7 @@ pub fn run(opts: &Options) {
         let case = &all_cases[ci];
         let (slice, mlp, abacus) = &prepared[ci];
         let policy = PolicyKind::ALL[pi];
-        let services: Vec<ServiceSpec> = case.groups[gi]
-            .iter()
-            .map(|&m| ServiceSpec {
-                model: m,
-                qos_ms: qos_of(m),
-            })
-            .collect();
+        let group = &case.groups[gi];
         let cfg = ColocationConfig {
             qps_per_service: loads[li] / 4.0,
             horizon_ms: opts.scale.horizon_ms(),
@@ -124,7 +118,17 @@ pub fn run(opts: &Options) {
             ..ColocationConfig::default()
         };
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(mlp));
-        run_with_services(&services, policy, pred, &lib, slice, &noise, &cfg)
+        let spec = RunSpec {
+            services: group
+                .iter()
+                .map(|&m| ServiceSpec {
+                    model: m,
+                    qos_ms: qos_of(m),
+                })
+                .collect(),
+            ..RunSpec::new(group, policy, pred, &lib, slice, &noise, &cfg)
+        };
+        serving::run(&spec, None)
     });
     let mut by_cell = cells.iter().zip(results);
 

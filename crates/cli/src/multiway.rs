@@ -5,7 +5,7 @@ use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::sampling::paper_multiway_sets;
-use serving::{run_colocation, ColocationConfig, PolicyKind};
+use serving::{ColocationConfig, PolicyKind, RunSpec};
 use std::sync::Arc;
 use workload::fork_seed;
 
@@ -55,7 +55,8 @@ pub fn run(opts: &Options) {
             ..ColocationConfig::default()
         };
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(&mlp));
-        run_colocation(set, policy, pred, &lib, &gpu, &noise, &cfg)
+        let spec = RunSpec::new(set, policy, pred, &lib, &gpu, &noise, &cfg);
+        serving::run(&spec, None)
     });
     let mut by_cell = cells.iter().zip(results);
 

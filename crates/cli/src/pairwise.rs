@@ -11,7 +11,7 @@ use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::sampling::all_pairs;
-use serving::{run_colocation, ColocationConfig, PolicyKind};
+use serving::{run, ColocationConfig, PolicyKind, RunOutcome, RunSpec};
 use std::sync::Arc;
 use workload::fork_seed;
 
@@ -31,7 +31,7 @@ fn run_grid(
     total_qps: f64,
     small_inputs: bool,
     policies: &[PolicyKind],
-) -> Vec<(String, Vec<(PolicyKind, serving::ColocationResult)>)> {
+) -> Vec<(String, Vec<(PolicyKind, RunOutcome)>)> {
     let lib = Arc::new(ModelLibrary::new());
     let gpu = GpuSpec::a100();
     let noise = NoiseModel::calibrated();
@@ -51,9 +51,10 @@ fn run_grid(
             abacus: abacus.clone(),
         };
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(&mlp));
-        run_colocation(pair, policy, pred, &lib, &gpu, &noise, &cfg)
+        let spec = RunSpec::new(pair, policy, pred, &lib, &gpu, &noise, &cfg);
+        run(&spec, None)
     });
-    let mut out: Vec<(String, Vec<(PolicyKind, serving::ColocationResult)>)> = pairs
+    let mut out: Vec<(String, Vec<(PolicyKind, RunOutcome)>)> = pairs
         .iter()
         .map(|p| (pair_label(p), Vec::with_capacity(policies.len())))
         .collect();

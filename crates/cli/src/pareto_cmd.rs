@@ -28,7 +28,7 @@ use dnn_models::{ModelId, ModelLibrary};
 use faults::FaultPlan;
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{sample_groups, width_of_row, LatencyModel, Mlp};
-use serving::{run_colocation_certified, ColocationConfig, NodeOptions, PolicyKind};
+use serving::{ColocationConfig, PolicyKind, RunSpec};
 use std::sync::Arc;
 use workload::fork_seed;
 
@@ -116,19 +116,13 @@ pub fn run(opts: &Options) {
             small_inputs: false,
             abacus,
         };
-        let plan = FaultPlan::at_intensity(plan_seed, INTENSITIES[i]);
-        let out = run_colocation_certified(
-            &models,
-            PolicyKind::Abacus,
-            Some(as_model(&mean)),
-            cert,
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            NodeOptions::default(),
-        );
+        let pred = Some(as_model(&mean));
+        let spec = RunSpec {
+            certifier: cert,
+            plan: FaultPlan::at_intensity(plan_seed, INTENSITIES[i]),
+            ..RunSpec::new(&models, PolicyKind::Abacus, pred, &lib, &gpu, &noise, &cfg)
+        };
+        let out = serving::run(&spec, None);
         for violation in &out.invariant_violations {
             eprintln!(
                 "[pareto] INVARIANT VIOLATION (intensity {}, {}): {violation}",
@@ -137,10 +131,10 @@ pub fn run(opts: &Options) {
             );
         }
         Cell {
-            violation_ratio: out.result.violation_ratio(),
-            goodput_rps: out.result.all.goodput_rps(cfg.horizon_ms),
-            completed: out.result.all.completed(),
-            dropped: out.result.all.dropped(),
+            violation_ratio: out.violation_ratio(),
+            goodput_rps: out.all.goodput_rps(cfg.horizon_ms),
+            completed: out.all.completed(),
+            dropped: out.all.dropped(),
             invariant_violations: out.invariant_violations.len(),
         }
     });

@@ -16,7 +16,7 @@ use abacus_metrics::Table;
 use cluster::{add_counter_tracks, build_timeline_bucketed};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
-use serving::{build_workload, run_colocation_traced, services_for, ColocationConfig, PolicyKind};
+use serving::{build_workload, ColocationConfig, PolicyKind, RunSpec};
 use std::sync::Arc;
 use telemetry::export::{kernel_spans_csv, ledger_csv};
 use telemetry::{ChromeTrace, Hist, PredictionErrorReport, Telemetry};
@@ -59,18 +59,24 @@ pub fn run(opts: &Options) {
         ..ColocationConfig::default()
     };
     let mut tel = Telemetry::with_kernel_trace();
-    let (result, records) =
-        run_colocation_traced(&pair, PolicyKind::Abacus, Some(as_model(&mlp)), &lib, &gpu, &noise, &cfg, &mut tel);
+    let pred = Some(as_model(&mlp));
+    let spec = RunSpec::new(&pair, PolicyKind::Abacus, pred, &lib, &gpu, &noise, &cfg);
+    let result = serving::run(&spec, Some(&mut tel));
 
     let mut trace = ChromeTrace::new();
     let names: Vec<&str> = pair.iter().map(|m| m.name()).collect();
     trace.add_telemetry(&tel, &names);
     // Offered vs achieved load as counter tracks over the same window.
-    let services = services_for(&pair, &lib, &gpu, cfg.small_inputs);
-    let workload = build_workload(&services, &lib, &cfg);
+    let workload = build_workload(&spec.services, &lib, &cfg);
     let requests: Vec<u32> = workload.inputs.iter().map(|i| i.batch).collect();
     let buckets = (cfg.horizon_ms / BUCKET_MS).ceil() as usize;
-    let points = build_timeline_bucketed(&workload.arrivals, &requests, &records, buckets, BUCKET_MS);
+    let points = build_timeline_bucketed(
+        &workload.arrivals,
+        &requests,
+        &result.records,
+        buckets,
+        BUCKET_MS,
+    );
     add_counter_tracks(&mut trace, &points, BUCKET_MS);
     // Registry counters and histogram digests join the same counter
     // process as end-of-run samples, so Perfetto shows the run's final
@@ -158,7 +164,9 @@ pub fn run(opts: &Options) {
             ..ColocationConfig::default()
         };
         let mut tel = Telemetry::new();
-        let _ = run_colocation_traced(&pair, PolicyKind::Abacus, Some(as_model(&mlp)), &lib, &gpu, &noise, &cfg, &mut tel);
+        let pred = Some(as_model(&mlp));
+        let spec = RunSpec::new(&pair, PolicyKind::Abacus, pred, &lib, &gpu, &noise, &cfg);
+        serving::run(&spec, Some(&mut tel));
         // Split errors by group width: the instance-based training samples
         // (§5.4) always include every co-located model, so solo rounds sit
         // outside the predictor's training distribution.

@@ -292,21 +292,9 @@ pub(crate) fn shared_workload(
     (arrivals, inputs)
 }
 
-/// Run the cluster and return all query records (arrival-stamped, so
-/// timelines can be rebuilt at any granularity).
-pub fn run_cluster(
-    system: ClusterSystem,
-    cfg: &ClusterConfig,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    predictor: Option<Arc<dyn LatencyModel>>,
-) -> Vec<QueryRecord> {
-    run_cluster_detailed(system, cfg, lib, gpu, noise, predictor).records
-}
-
-/// Like [`run_cluster`], additionally returning per-GPU usage — the
-/// signals the §7.9 autoscaler consumes.
+/// Run the cluster: all query records (arrival-stamped, so timelines can
+/// be rebuilt at any granularity) plus per-GPU usage — the signals the
+/// §7.9 autoscaler consumes.
 pub fn run_cluster_detailed(
     system: ClusterSystem,
     cfg: &ClusterConfig,
@@ -609,15 +597,17 @@ mod tests {
             lib: lib.clone(),
             gpu: gpu.clone(),
         });
-        let a = run_cluster(
+        let a = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
             &cfg,
             &lib,
             &gpu,
             &noise,
             Some(predictor),
-        );
-        let c = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None);
+        )
+        .records;
+        let c =
+            run_cluster_detailed(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None).records;
         assert_eq!(a.len(), arrivals.len());
         assert_eq!(c.len(), arrivals.len());
     }
@@ -628,7 +618,8 @@ mod tests {
         let gpu = GpuSpec::v100();
         let noise = NoiseModel::calibrated();
         let cfg = tiny_cfg(60.0);
-        let recs = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None);
+        let recs =
+            run_cluster_detailed(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None).records;
         let lats: Vec<f64> = recs
             .iter()
             .filter(|r| r.outcome == QueryOutcome::Completed)
@@ -650,15 +641,17 @@ mod tests {
             lib: lib.clone(),
             gpu: gpu.clone(),
         });
-        let a = run_cluster(
+        let a = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
             &cfg,
             &lib,
             &gpu,
             &noise,
             Some(predictor),
-        );
-        let c = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None);
+        )
+        .records;
+        let c =
+            run_cluster_detailed(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None).records;
         let completed_requests = |rs: &[QueryRecord]| -> u64 {
             rs.iter()
                 .filter(|r| r.outcome == QueryOutcome::Completed)
@@ -730,36 +723,39 @@ mod tests {
             lib: lib.clone(),
             gpu: gpu.clone(),
         });
-        let healthy = run_cluster(
+        let healthy = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
             &cfg,
             &lib,
             &gpu,
             &noise,
             Some(predictor.clone()),
-        );
+        )
+        .records;
         cfg.degraded = vec![NodeDegradation {
             node: 1,
             slowdown: 3.0,
         }];
         cfg.parallel = false;
-        let serial = run_cluster(
+        let serial = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
             &cfg,
             &lib,
             &gpu,
             &noise,
             Some(predictor.clone()),
-        );
+        )
+        .records;
         cfg.parallel = true;
-        let parallel = run_cluster(
+        let parallel = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
             &cfg,
             &lib,
             &gpu,
             &noise,
             Some(predictor),
-        );
+        )
+        .records;
         // Degradation is deterministic and serial ≡ parallel.
         assert_eq!(serial, parallel);
         // Same arrivals, worse outcomes: a 3× slower node must not

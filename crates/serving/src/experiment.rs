@@ -1,15 +1,18 @@
-//! Experiment drivers for the §7.2–7.5 single-GPU studies.
+//! The node-run driver for the §7.2–7.5 single-GPU studies.
 //!
-//! [`run_colocation`] deploys a co-location set on one GPU under a chosen
-//! policy and offered load, and aggregates the per-query records into the
-//! statistics the paper's figures report. The workload (arrival times and
-//! query inputs) is derived solely from the experiment seed, so the four
-//! policies of a figure row are compared on *identical* query streams.
+//! A [`RunSpec`] names everything one run depends on — the deployed
+//! services, the policy, the predictor and optional certifier, the
+//! [`FaultPlan`], the defensive [`NodeOptions`] and the
+//! [`ColocationConfig`] — and [`run`] executes it on one GPU, returning
+//! the aggregated statistics the paper's figures report together with the
+//! raw records, the invariant checker's verdict and the controller's
+//! degradation flag. Telemetry is attached per call. The workload (arrival
+//! times and query inputs) is derived solely from the experiment seed, so
+//! the four policies of a figure row are compared on *identical* query
+//! streams.
 
 use crate::invariants::InvariantChecker;
-use crate::node::{
-    simulate_node_checked, simulate_node_instrumented, NodeOptions, NodeWorkload, ServiceSpec,
-};
+use crate::node::{simulate_node_instrumented, NodeOptions, NodeWorkload, ServiceSpec};
 use abacus_core::{
     AbacusConfig, AbacusScheduler, BaselinePolicy, BaselineScheduler, Scheduler,
     SegmentalExecutor,
@@ -85,9 +88,74 @@ impl Default for ColocationConfig {
     }
 }
 
-/// Aggregated outcome of one (co-location set, policy) run.
+/// One node run: what is deployed, under which policy and predictor, and
+/// every optional knob, resolved to a value.
+///
+/// [`RunSpec::new`] fills the knobs with their inert defaults (no
+/// certifier, [`FaultPlan::none`], default [`NodeOptions`]); override a
+/// field with struct-update syntax. Every default is inert: the run is
+/// bit-identical to one without the knob, which the run-equivalence table
+/// test pins.
+#[derive(Clone)]
+pub struct RunSpec<'a> {
+    /// Deployed services in deployment order (a record's `service` indexes
+    /// this list). The MIG study overrides it to keep QoS targets
+    /// calibrated on the full GPU while `gpu` is a slice.
+    pub services: Vec<ServiceSpec>,
+    /// Scheduling policy.
+    pub policy: PolicyKind,
+    /// Mean latency predictor; required for [`PolicyKind::Abacus`] and
+    /// ignored otherwise.
+    pub predictor: Option<Arc<dyn LatencyModel>>,
+    /// Conformal certifier wired into the Abacus controller
+    /// ([`AbacusScheduler::with_certifier`]); inert unless
+    /// `cfg.abacus.conformal` is set.
+    pub certifier: Option<Arc<dyn LatencyModel>>,
+    /// Injected faults. The plan wraps only the *mean* predictor: the
+    /// certifier calibrates a bound over the healthy model's behaviour.
+    pub plan: FaultPlan,
+    /// Defensive serving-loop options.
+    pub opts: NodeOptions,
+    /// Load, horizon, seed and Abacus configuration.
+    pub cfg: ColocationConfig,
+    /// Model library.
+    pub lib: &'a Arc<ModelLibrary>,
+    /// The GPU the services execute on.
+    pub gpu: &'a GpuSpec,
+    /// Execution-noise model.
+    pub noise: &'a NoiseModel,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A fault-free, undefended, uncertified run of `models` on `gpu`, with
+    /// QoS targets resolved by [`services_for`].
+    pub fn new(
+        models: &[ModelId],
+        policy: PolicyKind,
+        predictor: Option<Arc<dyn LatencyModel>>,
+        lib: &'a Arc<ModelLibrary>,
+        gpu: &'a GpuSpec,
+        noise: &'a NoiseModel,
+        cfg: &ColocationConfig,
+    ) -> Self {
+        Self {
+            services: services_for(models, lib, gpu, cfg.small_inputs),
+            policy,
+            predictor,
+            certifier: None,
+            plan: FaultPlan::none(),
+            opts: NodeOptions::default(),
+            cfg: cfg.clone(),
+            lib,
+            gpu,
+            noise,
+        }
+    }
+}
+
+/// Outcome of one node run.
 #[derive(Debug, Clone)]
-pub struct ColocationResult {
+pub struct RunOutcome {
     /// Stats per service, in deployment order.
     pub per_service: Vec<ServiceStats>,
     /// Pooled stats over every query of the run.
@@ -96,9 +164,18 @@ pub struct ColocationResult {
     pub horizon_ms: f64,
     /// Per-service QoS targets, ms.
     pub qos_ms: Vec<f64>,
+    /// Raw per-query records, in completion/drop order (the telemetry
+    /// event stream joins against them by query id).
+    pub records: Vec<QueryRecord>,
+    /// Serving-loop invariant violations detected during the run
+    /// (empty = every invariant held).
+    pub invariant_violations: Vec<String>,
+    /// Whether the Abacus controller degraded to FCFS dispatch
+    /// (always `false` for baseline policies).
+    pub degraded: bool,
 }
 
-impl ColocationResult {
+impl RunOutcome {
     /// Pooled p99 normalised to the *mean* QoS target (the paper's Fig. 14
     /// normalises each pair's latency to its QoS target).
     pub fn normalized_p99(&self) -> f64 {
@@ -167,152 +244,87 @@ pub fn services_for(
         .collect()
 }
 
-/// Run one co-location experiment.
+/// Run one node to completion under `spec`, recording into `telemetry`
+/// when attached.
 ///
-/// `predictor` is required for [`PolicyKind::Abacus`] and ignored
-/// otherwise.
-pub fn run_colocation(
-    models: &[ModelId],
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    cfg: &ColocationConfig,
-) -> ColocationResult {
-    let services = services_for(models, lib, gpu, cfg.small_inputs);
-    run_with_services(&services, policy, predictor, lib, gpu, noise, cfg)
-}
-
-/// Run one co-location experiment with explicitly-specified services.
-///
-/// The MIG study (Figs. 20–21) needs this: QoS targets stay calibrated to
-/// the *full* A100 while the services execute on a slower MIG slice.
-pub fn run_with_services(
-    services: &[ServiceSpec],
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    cfg: &ColocationConfig,
-) -> ColocationResult {
-    let workload = build_workload(services, lib, cfg);
-    let mut scheduler = make_scheduler(policy, predictor, lib, gpu, cfg);
+/// The serving-loop [`InvariantChecker`] always rides along; it only
+/// observes. Kernel spans are harvested exactly when the telemetry asks
+/// for them. Telemetry never feeds back into the simulation, so the
+/// records are bit-identical with and without it.
+pub fn run(spec: &RunSpec, mut telemetry: Option<&mut Telemetry>) -> RunOutcome {
+    let RunSpec {
+        ref services,
+        policy,
+        ref predictor,
+        ref certifier,
+        ref plan,
+        opts,
+        ref cfg,
+        lib,
+        gpu,
+        noise,
+    } = *spec;
+    let workload = build_faulty_workload(services, lib, cfg, plan);
     let mut executor = SegmentalExecutor::new(
         gpu.clone(),
         noise.clone(),
         lib.clone(),
         fork_seed(cfg.seed, 0xE0),
     );
-    let records = simulate_node_checked(
-        scheduler.as_mut(),
+    executor.set_kernel_faults(plan.kernel_fault_spec());
+    if telemetry
+        .as_deref()
+        .is_some_and(Telemetry::kernel_trace_enabled)
+    {
+        executor.enable_kernel_trace();
+    }
+    let baseline = match policy {
+        PolicyKind::Fcfs => Some(BaselinePolicy::Fcfs),
+        PolicyKind::Sjf => Some(BaselinePolicy::Sjf),
+        PolicyKind::Edf => Some(BaselinePolicy::Edf),
+        PolicyKind::Abacus => None,
+    };
+    let (mut abacus, mut fixed) = (None, None);
+    let scheduler: &mut dyn Scheduler = match baseline {
+        Some(kind) => fixed.insert(BaselineScheduler::new(kind, lib.clone(), gpu.clone())),
+        None => {
+            if let Some(t) = telemetry.as_deref_mut() {
+                t.set_predictor_ways(cfg.abacus.ways);
+            }
+            let model = predictor.clone().expect("Abacus needs a latency predictor");
+            abacus.insert(AbacusScheduler::with_certifier(
+                plan.wrap_predictor(model),
+                certifier.clone(),
+                lib.clone(),
+                cfg.abacus.clone(),
+            ))
+        }
+    };
+    let mut checker = InvariantChecker::new();
+    let records = simulate_node_instrumented(
+        scheduler,
         &mut executor,
         lib,
         services,
         &workload,
-        NodeOptions::default(),
-        None,
+        opts,
+        Some(&mut checker),
+        telemetry,
     );
-    aggregate(&records, services, cfg)
-}
-
-/// Build the scheduler a policy runs under (the same construction every
-/// driver uses). `predictor` is required for [`PolicyKind::Abacus`].
-pub fn make_scheduler(
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    cfg: &ColocationConfig,
-) -> Box<dyn Scheduler> {
-    match policy {
-        PolicyKind::Fcfs => Box::new(BaselineScheduler::new(
-            BaselinePolicy::Fcfs,
-            lib.clone(),
-            gpu.clone(),
-        )),
-        PolicyKind::Sjf => Box::new(BaselineScheduler::new(
-            BaselinePolicy::Sjf,
-            lib.clone(),
-            gpu.clone(),
-        )),
-        PolicyKind::Edf => Box::new(BaselineScheduler::new(
-            BaselinePolicy::Edf,
-            lib.clone(),
-            gpu.clone(),
-        )),
-        PolicyKind::Abacus => Box::new(AbacusScheduler::new(
-            predictor.expect("Abacus needs a latency predictor"),
-            lib.clone(),
-            cfg.abacus.clone(),
-        )),
-    }
-}
-
-/// [`run_colocation`] with full telemetry recorded into `telemetry`.
-///
-/// Identical workload, scheduler and executor seeding to the plain driver —
-/// the returned [`ColocationResult`] and records are bit-identical to
-/// [`run_colocation`]'s for the same inputs; only the observations differ.
-/// Also returns the raw per-query records (the telemetry event stream joins
-/// against them by query id).
-#[allow(clippy::too_many_arguments)]
-pub fn run_colocation_traced(
-    models: &[ModelId],
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    cfg: &ColocationConfig,
-    telemetry: &mut Telemetry,
-) -> (ColocationResult, Vec<QueryRecord>) {
-    let services = services_for(models, lib, gpu, cfg.small_inputs);
-    let workload = build_workload(&services, lib, cfg);
-    if policy == PolicyKind::Abacus {
-        telemetry.set_predictor_ways(cfg.abacus.ways);
-    }
-    let mut scheduler = make_scheduler(policy, predictor, lib, gpu, cfg);
-    let mut executor = SegmentalExecutor::new(
-        gpu.clone(),
-        noise.clone(),
-        lib.clone(),
-        fork_seed(cfg.seed, 0xE0),
-    );
-    if telemetry.kernel_trace_enabled() {
-        executor.enable_kernel_trace();
-    }
-    let records = simulate_node_instrumented(
-        scheduler.as_mut(),
-        &mut executor,
-        lib,
-        &services,
-        &workload,
-        NodeOptions::default(),
-        None,
-        Some(telemetry),
-    );
-    let result = aggregate(&records, &services, cfg);
-    (result, records)
-}
-
-fn aggregate(
-    records: &[QueryRecord],
-    services: &[ServiceSpec],
-    cfg: &ColocationConfig,
-) -> ColocationResult {
     let mut per_service: Vec<ServiceStats> = services.iter().map(|_| ServiceStats::new()).collect();
     let mut all = ServiceStats::new();
-    for r in records {
+    for r in &records {
         per_service[r.service].record(r);
         all.record(r);
     }
-    ColocationResult {
+    RunOutcome {
         per_service,
         all,
         horizon_ms: cfg.horizon_ms,
         qos_ms: services.iter().map(|s| s.qos_ms).collect(),
+        records,
+        invariant_violations: checker.violations().to_vec(),
+        degraded: abacus.is_some_and(|s| s.is_degraded()),
     }
 }
 
@@ -324,7 +336,7 @@ fn aggregate(
 /// time-sorted streams are merged stably by `(at_ms, service)` with the
 /// base stream winning ties. A plan without a burst returns exactly
 /// [`build_workload`]'s output.
-pub fn build_faulty_workload(
+fn build_faulty_workload(
     services: &[ServiceSpec],
     lib: &ModelLibrary,
     cfg: &ColocationConfig,
@@ -361,160 +373,11 @@ pub fn build_faulty_workload(
     NodeWorkload::new(arrivals, inputs)
 }
 
-/// Outcome of one fault-injected co-location run.
-#[derive(Debug, Clone)]
-pub struct FaultRunOutcome {
-    /// Aggregated statistics (same shape as the no-fault driver's).
-    pub result: ColocationResult,
-    /// Raw per-query records, for golden-trace comparisons.
-    pub records: Vec<QueryRecord>,
-    /// Serving-loop invariant violations detected during the run
-    /// (empty = every invariant held).
-    pub invariant_violations: Vec<String>,
-    /// Whether the Abacus controller degraded to FCFS dispatch
-    /// (always `false` for baseline policies).
-    pub degraded: bool,
-}
-
-/// [`run_colocation`] under a [`FaultPlan`], with the serving-loop
-/// invariant checker wired in and optional defensive [`NodeOptions`].
-///
-/// With `FaultPlan::none()` and default options this is bit-identical to
-/// [`run_colocation`] (pinned by the golden no-fault test).
-#[allow(clippy::too_many_arguments)]
-pub fn run_colocation_faulty(
-    models: &[ModelId],
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    cfg: &ColocationConfig,
-    plan: &FaultPlan,
-    opts: NodeOptions,
-) -> FaultRunOutcome {
-    run_colocation_certified(models, policy, predictor, None, lib, gpu, noise, cfg, plan, opts)
-}
-
-/// [`run_colocation_faulty`] with an optional conformal certifier wired
-/// into the Abacus controller ([`AbacusScheduler::with_certifier`]). With
-/// `certifier == None` — or `cfg.abacus.conformal` off — this is the exact
-/// same run, bit for bit; [`run_colocation_faulty`] delegates here.
-///
-/// Fault plans wrap only the *mean* predictor (the certifier calibrates a
-/// bound over the healthy model's behaviour; a faulted mean feeding the
-/// ledger/EWMA is precisely the failure mode the PR 4 defenses watch).
-#[allow(clippy::too_many_arguments)]
-pub fn run_colocation_certified(
-    models: &[ModelId],
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    certifier: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    cfg: &ColocationConfig,
-    plan: &FaultPlan,
-    opts: NodeOptions,
-) -> FaultRunOutcome {
-    run_colocation_observed(
-        models, policy, predictor, certifier, lib, gpu, noise, cfg, plan, opts, None,
-    )
-}
-
-/// [`run_colocation_certified`] with opt-in telemetry — the entry point the
-/// run-health studies use to watch a fault plan's effect *online* (drift
-/// detectors and SLO burn monitors ride inside the `Telemetry`).
-///
-/// With `telemetry: None` this is the exact same run, bit for bit:
-/// [`run_colocation_certified`] delegates here, and the simulation loop's
-/// disabled-telemetry path is pinned byte-identical by the golden checksum
-/// tests.
-#[allow(clippy::too_many_arguments)]
-pub fn run_colocation_observed(
-    models: &[ModelId],
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    certifier: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    cfg: &ColocationConfig,
-    plan: &FaultPlan,
-    opts: NodeOptions,
-    mut telemetry: Option<&mut Telemetry>,
-) -> FaultRunOutcome {
-    let services = services_for(models, lib, gpu, cfg.small_inputs);
-    let workload = build_faulty_workload(&services, lib, cfg, plan);
-    let mut executor = SegmentalExecutor::new(
-        gpu.clone(),
-        noise.clone(),
-        lib.clone(),
-        fork_seed(cfg.seed, 0xE0),
-    );
-    executor.set_kernel_faults(plan.kernel_fault_spec());
-    if let Some(t) = telemetry.as_deref_mut() {
-        if t.kernel_trace_enabled() {
-            executor.enable_kernel_trace();
-        }
-    }
-    let mut checker = InvariantChecker::new();
-
-    let (records, degraded) = match policy {
-        PolicyKind::Abacus => {
-            if let Some(t) = telemetry.as_deref_mut() {
-                t.set_predictor_ways(cfg.abacus.ways);
-            }
-            let model =
-                plan.wrap_predictor(predictor.expect("Abacus needs a latency predictor"));
-            let mut sched =
-                AbacusScheduler::with_certifier(model, certifier, lib.clone(), cfg.abacus.clone());
-            let records = simulate_node_instrumented(
-                &mut sched,
-                &mut executor,
-                lib,
-                &services,
-                &workload,
-                opts,
-                Some(&mut checker),
-                telemetry,
-            );
-            (records, sched.is_degraded())
-        }
-        baseline => {
-            let kind = match baseline {
-                PolicyKind::Fcfs => BaselinePolicy::Fcfs,
-                PolicyKind::Sjf => BaselinePolicy::Sjf,
-                PolicyKind::Edf => BaselinePolicy::Edf,
-                PolicyKind::Abacus => unreachable!("handled above"),
-            };
-            let mut sched = BaselineScheduler::new(kind, lib.clone(), gpu.clone());
-            let records = simulate_node_instrumented(
-                &mut sched,
-                &mut executor,
-                lib,
-                &services,
-                &workload,
-                opts,
-                Some(&mut checker),
-                telemetry,
-            );
-            (records, false)
-        }
-    };
-    let result = aggregate(&records, &services, cfg);
-    FaultRunOutcome {
-        result,
-        records,
-        invariant_violations: checker.violations().to_vec(),
-        degraded,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trainer::{train_unified, TrainerConfig};
+    use telemetry::HealthConfig;
 
     fn setup() -> (Arc<ModelLibrary>, GpuSpec, NoiseModel) {
         (
@@ -550,16 +413,9 @@ mod tests {
         );
         let mlp: Arc<dyn LatencyModel> = Arc::new(mlp);
         let cfg = small_cfg();
-        let fcfs = run_colocation(&models, PolicyKind::Fcfs, None, &lib, &gpu, &noise, &cfg);
-        let abacus = run_colocation(
-            &models,
-            PolicyKind::Abacus,
-            Some(mlp),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-        );
+        let spec = |policy, pred| RunSpec::new(&models, policy, pred, &lib, &gpu, &noise, &cfg);
+        let fcfs = run(&spec(PolicyKind::Fcfs, None), None);
+        let abacus = run(&spec(PolicyKind::Abacus, Some(mlp)), None);
         // Same total queries (identical workload).
         assert_eq!(fcfs.all.total(), abacus.all.total());
         assert!(
@@ -581,8 +437,9 @@ mod tests {
         let (lib, gpu, noise) = setup();
         let models = [ModelId::ResNet50, ModelId::Bert];
         let cfg = small_cfg();
-        let a = run_colocation(&models, PolicyKind::Fcfs, None, &lib, &gpu, &noise, &cfg);
-        let b = run_colocation(&models, PolicyKind::Edf, None, &lib, &gpu, &noise, &cfg);
+        let spec = |policy| RunSpec::new(&models, policy, None, &lib, &gpu, &noise, &cfg);
+        let a = run(&spec(PolicyKind::Fcfs), None);
+        let b = run(&spec(PolicyKind::Edf), None);
         assert_eq!(a.all.total(), b.all.total());
     }
 
@@ -594,28 +451,108 @@ mod tests {
         assert!(small[0].qos_ms < normal[0].qos_ms);
     }
 
-    #[test]
-    fn faulty_runner_with_none_plan_matches_plain_runner() {
+    /// The fixture of the inert-knob tests: the small ResNet-50 + BERT
+    /// cell with `predict_round_ms` pinned (startup calibration is
+    /// wall-clock-measured, so unpinned Abacus runs are not repeatable)
+    /// and a trained mean predictor.
+    fn inert_fixture() -> (
+        Arc<ModelLibrary>,
+        GpuSpec,
+        NoiseModel,
+        ColocationConfig,
+        Arc<dyn LatencyModel>,
+    ) {
         let (lib, gpu, noise) = setup();
-        let models = [ModelId::ResNet50, ModelId::Bert];
-        let cfg = small_cfg();
-        let plain = run_colocation(&models, PolicyKind::Edf, None, &lib, &gpu, &noise, &cfg);
-        let faulty = run_colocation_faulty(
-            &models,
-            PolicyKind::Edf,
-            None,
+        let mut cfg = small_cfg();
+        cfg.abacus.predict_round_ms = Some(0.08);
+        assert!(!cfg.abacus.conformal);
+        let (mlp, _) = train_unified(
+            &[INERT_PAIR.to_vec()],
             &lib,
             &gpu,
             &noise,
-            &cfg,
-            &faults::FaultPlan::none(),
-            crate::node::NodeOptions::default(),
+            &TrainerConfig::fast(),
         );
-        assert!(faulty.invariant_violations.is_empty());
-        assert!(!faulty.degraded);
-        assert_eq!(faulty.result.all.total(), plain.all.total());
-        assert_eq!(faulty.result.all.p99_latency(), plain.all.p99_latency());
-        assert_eq!(faulty.result.violation_ratio(), plain.violation_ratio());
+        (lib, gpu, noise, cfg, Arc::new(mlp))
+    }
+
+    const INERT_PAIR: [ModelId; 2] = [ModelId::ResNet50, ModelId::Bert];
+
+    /// Runs `spec` with `tel` attached and asserts it reproduces `expected`
+    /// bit for bit, holds every serving invariant and never degrades.
+    fn assert_matches_bare(
+        spec: &RunSpec,
+        tel: Option<&mut Telemetry>,
+        expected: &[QueryRecord],
+        leg: &str,
+    ) {
+        let out = run(spec, tel);
+        let name = spec.policy.name();
+        assert_eq!(out.records, expected, "{name}: {leg} changed the records");
+        assert_eq!(
+            out.invariant_violations,
+            Vec::<String>::new(),
+            "{name}: {leg}"
+        );
+        assert!(!out.degraded, "{name}: {leg} degraded");
+    }
+
+    /// A plan that injects nothing leaves every policy's run bit-identical,
+    /// even with a seed and the defensive options spelled out.
+    #[test]
+    fn faulty_runner_with_none_plan_matches_plain_runner() {
+        let (lib, gpu, noise, cfg, mlp) = inert_fixture();
+        for policy in PolicyKind::ALL {
+            let pred = (policy == PolicyKind::Abacus).then(|| mlp.clone());
+            let bare = RunSpec::new(&INERT_PAIR, policy, pred, &lib, &gpu, &noise, &cfg);
+            let expected = run(&bare, None).records;
+            let none_plan = RunSpec {
+                plan: FaultPlan {
+                    seed: 0x5EED,
+                    ..FaultPlan::none()
+                },
+                opts: NodeOptions::default(),
+                ..bare.clone()
+            };
+            assert!(none_plan.plan.is_none());
+            assert_matches_bare(&none_plan, None, &expected, "empty fault plan");
+        }
+    }
+
+    /// A certifier carried with `conformal` off is inert for every policy,
+    /// the Abacus controller included.
+    #[test]
+    fn certified_runner_without_certifier_matches_faulty_runner() {
+        let (lib, gpu, noise, cfg, mlp) = inert_fixture();
+        for policy in PolicyKind::ALL {
+            let pred = (policy == PolicyKind::Abacus).then(|| mlp.clone());
+            let bare = RunSpec::new(&INERT_PAIR, policy, pred, &lib, &gpu, &noise, &cfg);
+            let expected = run(&bare, None).records;
+            let certified = RunSpec {
+                certifier: Some(mlp.clone()),
+                ..bare.clone()
+            };
+            assert_matches_bare(&certified, None, &expected, "certifier, conformal off");
+        }
+    }
+
+    /// Telemetry with kernel traces and health monitors attached observes
+    /// every policy's run without perturbing it.
+    #[test]
+    fn observed_runner_matches_plain_runner() {
+        let (lib, gpu, noise, cfg, mlp) = inert_fixture();
+        for policy in PolicyKind::ALL {
+            let pred = (policy == PolicyKind::Abacus).then(|| mlp.clone());
+            let bare = RunSpec::new(&INERT_PAIR, policy, pred, &lib, &gpu, &noise, &cfg);
+            let expected = run(&bare, None).records;
+            let mut observed = Telemetry::with_kernel_trace();
+            observed.enable_health(HealthConfig::default());
+            assert_matches_bare(&bare, Some(&mut observed), &expected, "telemetry + health");
+            // The telemetry really observed the run.
+            let arrived = observed.registry.get(telemetry::Counter::QueriesArrived);
+            assert_eq!(arrived, expected.len() as u64);
+            assert!(!observed.kernel_spans().is_empty() && observed.health().is_some());
+        }
     }
 
     #[test]
@@ -623,7 +560,7 @@ mod tests {
         let (lib, gpu, noise) = setup();
         let models = [ModelId::ResNet50, ModelId::ResNet101];
         let cfg = small_cfg();
-        let plan = faults::FaultPlan::at_intensity(11, 0.6);
+        let plan = FaultPlan::at_intensity(11, 0.6);
         let services = services_for(&models, &lib, &gpu, cfg.small_inputs);
         let base = build_workload(&services, &lib, &cfg);
         let bursty = build_faulty_workload(&services, &lib, &cfg, &plan);
@@ -637,75 +574,20 @@ mod tests {
         }
         assert!(base_iter.peek().is_none(), "base workload perturbed");
 
-        let out = run_colocation_faulty(
-            &models,
-            PolicyKind::Fcfs,
-            None,
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            crate::node::NodeOptions {
+        let spec = RunSpec {
+            plan,
+            opts: NodeOptions {
                 timeout_factor: Some(4.0),
             },
-        );
+            ..RunSpec::new(&models, PolicyKind::Fcfs, None, &lib, &gpu, &noise, &cfg)
+        };
+        let out = run(&spec, None);
         assert_eq!(
             out.invariant_violations,
             Vec::<String>::new(),
             "faults must not break serving invariants"
         );
-        assert_eq!(out.result.all.total(), bursty.len());
-    }
-
-    #[test]
-    fn certified_runner_without_certifier_matches_faulty_runner() {
-        // `run_colocation_certified(…, None, …)` and a supplied certifier
-        // with the conformal flag off must both reproduce the plain faulty
-        // runner bit for bit.
-        let (lib, gpu, noise) = setup();
-        let models = [ModelId::ResNet50, ModelId::Bert];
-        let mut cfg = small_cfg();
-        // Pin the per-round prediction latency: startup calibration is
-        // wall-clock-measured, so unpinned Abacus runs are not repeatable.
-        cfg.abacus.predict_round_ms = Some(0.08);
-        let (mlp, _) = crate::trainer::train_unified(
-            &[models.to_vec()],
-            &lib,
-            &gpu,
-            &noise,
-            &TrainerConfig::fast(),
-        );
-        let mlp: Arc<dyn LatencyModel> = Arc::new(mlp);
-        let run = |certifier: Option<Arc<dyn LatencyModel>>| {
-            run_colocation_certified(
-                &models,
-                PolicyKind::Abacus,
-                Some(mlp.clone()),
-                certifier,
-                &lib,
-                &gpu,
-                &noise,
-                &cfg,
-                &faults::FaultPlan::none(),
-                crate::node::NodeOptions::default(),
-            )
-        };
-        let plain = run_colocation_faulty(
-            &models,
-            PolicyKind::Abacus,
-            Some(mlp.clone()),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &faults::FaultPlan::none(),
-            crate::node::NodeOptions::default(),
-        );
-        assert_eq!(run(None).records, plain.records);
-        // Flag off: an attached certifier must be inert.
-        assert!(!cfg.abacus.conformal);
-        assert_eq!(run(Some(mlp.clone())).records, plain.records);
+        assert_eq!(out.all.total(), bursty.len());
     }
 
     #[test]
@@ -723,33 +605,40 @@ mod tests {
             0.05,
         );
         let mean: Arc<dyn LatencyModel> = Arc::new(certified.mean);
-        let upper: Arc<dyn LatencyModel> = Arc::new(certified.certifier);
-        let out = run_colocation_certified(
-            &models,
-            PolicyKind::Abacus,
-            Some(mean),
-            Some(upper),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &faults::FaultPlan::none(),
-            crate::node::NodeOptions::default(),
-        );
+        let spec = RunSpec {
+            certifier: Some(Arc::new(certified.certifier)),
+            ..RunSpec::new(
+                &models,
+                PolicyKind::Abacus,
+                Some(mean),
+                &lib,
+                &gpu,
+                &noise,
+                &cfg,
+            )
+        };
+        let out = run(&spec, None);
         assert!(out.invariant_violations.is_empty());
         assert!(!out.degraded);
-        assert!(out.result.all.total() > 0);
+        assert!(out.all.total() > 0);
         // Certified planning still serves the workload usefully.
-        assert!(out.result.violation_ratio() < 0.5);
+        assert!(out.violation_ratio() < 0.5);
     }
 
     #[test]
     fn results_are_reproducible() {
         let (lib, gpu, noise) = setup();
         let models = [ModelId::InceptionV3, ModelId::Vgg16];
-        let cfg = small_cfg();
-        let a = run_colocation(&models, PolicyKind::Edf, None, &lib, &gpu, &noise, &cfg);
-        let b = run_colocation(&models, PolicyKind::Edf, None, &lib, &gpu, &noise, &cfg);
+        let spec = RunSpec::new(
+            &models,
+            PolicyKind::Edf,
+            None,
+            &lib,
+            &gpu,
+            &noise,
+            &small_cfg(),
+        );
+        let (a, b) = (run(&spec, None), run(&spec, None));
         assert_eq!(a.all.p99_latency(), b.all.p99_latency());
         assert_eq!(a.all.total(), b.all.total());
     }

@@ -8,7 +8,10 @@
 //! queries that complete in a group all return at the group's final sync.
 //!
 //! Output is one [`QueryRecord`] per query, from which every §7.2–7.5
-//! figure is computed.
+//! figure is computed. [`simulate_node_checked`] is the loop with an
+//! optional invariant checker, [`simulate_node_instrumented`] the same
+//! loop with telemetry as well; [`crate::run`] builds the workload,
+//! scheduler and executor from a [`crate::RunSpec`] and drives the latter.
 
 use crate::invariants::InvariantChecker;
 use abacus_core::{Query, RoundDecision, Scheduler, SegmentalExecutor};
@@ -56,8 +59,7 @@ impl NodeWorkload {
 }
 
 /// Defensive-runtime knobs for the serving loop (all off by default —
-/// [`simulate_node`] with defaults is byte-identical to the undefended
-/// loop).
+/// the defaults leave the loop byte-identical to the undefended one).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeOptions {
     /// Evict queries whose sojourn exceeds `factor × qos_ms` as
@@ -66,35 +68,15 @@ pub struct NodeOptions {
     pub timeout_factor: Option<f64>,
 }
 
-/// Run one node to completion: all arrivals admitted, the queue drained.
+/// Run one node to completion — all arrivals admitted, the queue drained —
+/// with defensive options and optional invariant checking.
 ///
-/// Returns one record per query, in completion/drop order.
-pub fn simulate_node(
-    scheduler: &mut dyn Scheduler,
-    executor: &mut SegmentalExecutor,
-    lib: &ModelLibrary,
-    services: &[ServiceSpec],
-    workload: &NodeWorkload,
-) -> Vec<QueryRecord> {
-    simulate_node_checked(
-        scheduler,
-        executor,
-        lib,
-        services,
-        workload,
-        NodeOptions::default(),
-        None,
-    )
-}
-
-/// [`simulate_node`] with defensive options and optional invariant
-/// checking.
-///
-/// Differences from the plain loop (beyond `opts`): a scheduler that drops
-/// an unknown query id is recorded as an invariant violation instead of a
-/// panic, and a scheduler that makes no progress on a non-empty queue (no
-/// drop, no group, no pending arrival to advance to) trips a livelock
-/// guard that force-evicts the oldest query rather than spinning forever.
+/// Returns one record per query, in completion/drop order. A scheduler
+/// that drops an unknown query id is recorded as an invariant violation
+/// instead of a panic, and a scheduler that makes no progress on a
+/// non-empty queue (no drop, no group, no pending arrival to advance to)
+/// trips a livelock guard that force-evicts the oldest query rather than
+/// spinning forever.
 pub fn simulate_node_checked(
     scheduler: &mut dyn Scheduler,
     executor: &mut SegmentalExecutor,
@@ -113,8 +95,9 @@ pub fn simulate_node_checked(
 /// points run — no telemetry branch mutates simulation state, so results
 /// are byte-identical (the golden-checksum tests pin this). With
 /// `Some(t)`, the run's query-lifecycle events, scheduler decision ledger
-/// and counters are recorded into `t`; when `t` asks for kernel traces the
-/// caller must also have called [`SegmentalExecutor::enable_kernel_trace`].
+/// and counters are recorded into `t`. Kernel spans are harvested only
+/// from an executor with [`SegmentalExecutor::enable_kernel_trace`] on;
+/// [`crate::run`] turns it on exactly when `t` asks for kernel traces.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_node_instrumented(
     scheduler: &mut dyn Scheduler,
@@ -517,6 +500,17 @@ mod tests {
         NodeWorkload::new(arrivals, inputs)
     }
 
+    /// The loop with default options and no invariant checker.
+    fn run_plain(
+        sched: &mut dyn Scheduler,
+        exec: &mut SegmentalExecutor,
+        lib: &ModelLibrary,
+        svcs: &[ServiceSpec],
+        wl: &NodeWorkload,
+    ) -> Vec<QueryRecord> {
+        simulate_node_checked(sched, exec, lib, svcs, wl, NodeOptions::default(), None)
+    }
+
     fn services(models: &[ModelId], lib: &ModelLibrary, gpu: &GpuSpec) -> Vec<ServiceSpec> {
         models
             .iter()
@@ -535,7 +529,7 @@ mod tests {
         let wl = mk_workload(&svcs, 5.0, 5_000.0, &lib, 1);
         let mut sched = BaselineScheduler::new(BaselinePolicy::Fcfs, lib.clone(), gpu.clone());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::disabled(), lib.clone(), 2);
-        let records = simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl);
+        let records = run_plain(&mut sched, &mut exec, &lib, &svcs, &wl);
         assert_eq!(records.len(), wl.len());
         let met = records.iter().filter(|r| r.met_qos()).count();
         assert!(met * 10 >= records.len() * 9, "{met}/{}", records.len());
@@ -549,7 +543,7 @@ mod tests {
         let wl = mk_workload(&svcs, 40.0, 3_000.0, &lib, 2);
         let mut sched = BaselineScheduler::new(BaselinePolicy::Edf, lib.clone(), gpu.clone());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::calibrated(), lib.clone(), 3);
-        let records = simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl);
+        let records = run_plain(&mut sched, &mut exec, &lib, &svcs, &wl);
         assert_eq!(records.len(), wl.len());
     }
 
@@ -593,7 +587,7 @@ mod tests {
         });
         let mut sched = AbacusScheduler::new(model, lib.clone(), AbacusConfig::default());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::calibrated(), lib.clone(), 5);
-        let records = simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl);
+        let records = run_plain(&mut sched, &mut exec, &lib, &svcs, &wl);
         assert_eq!(records.len(), wl.len());
         let violations = records.iter().filter(|r| !r.met_qos()).count();
         assert!(
@@ -613,7 +607,7 @@ mod tests {
         let wl = mk_workload(&svcs, 120.0, 2_000.0, &lib, 6);
         let mut sched = BaselineScheduler::new(BaselinePolicy::Fcfs, lib.clone(), gpu.clone());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::disabled(), lib.clone(), 7);
-        let records = simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl);
+        let records = run_plain(&mut sched, &mut exec, &lib, &svcs, &wl);
         assert_eq!(records.len(), wl.len());
         let dropped = records
             .iter()
@@ -713,6 +707,6 @@ mod tests {
         let wl = NodeWorkload::new(vec![], vec![]);
         let mut sched = BaselineScheduler::new(BaselinePolicy::Sjf, lib.clone(), gpu.clone());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::disabled(), lib.clone(), 8);
-        assert!(simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl).is_empty());
+        assert!(run_plain(&mut sched, &mut exec, &lib, &svcs, &wl).is_empty());
     }
 }

@@ -17,9 +17,9 @@ use crate::drift::{width_class_label, DriftConfig, DriftDetector};
 use crate::export::{esc, fmt_f64};
 use crate::flight::{FlightConfig, FlightRecorder, FlightRound};
 use crate::ledger::RoundEntry;
-use crate::sketch::{QuantileSketch, WindowedMoments};
+use crate::sketch::WindowedMoments;
 use crate::slo::{SloAlert, SloConfig, SloMonitor};
-use abacus_metrics::QueryOutcome;
+use abacus_metrics::{QuantileSketch, QueryOutcome};
 
 /// Tuning for the whole run-health bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -44,7 +44,7 @@ pub use flight::{FlightConfig, FlightDump, FlightRecorder, FlightRound};
 pub use health::{HealthAlert, HealthAlertKind, HealthConfig, RunHealth};
 pub use ledger::{DecisionLedger, LedgerEntry, PredictionErrorReport, RoundEntry};
 pub use registry::{Counter, Hist, Histogram, Registry};
-pub use sketch::{QuantileSketch, WindowedMoments};
+pub use sketch::WindowedMoments;
 pub use slo::{SloAlert, SloConfig, SloMonitor};
 
 use abacus_metrics::QueryOutcome;

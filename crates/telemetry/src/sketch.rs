@@ -1,11 +1,9 @@
 //! Streaming accumulators for the run-health layer.
 //!
-//! The quantile sketch itself lives in `abacus_metrics` (so `ServiceStats`
-//! can carry one without a dependency cycle) and is re-exported here; this
-//! module adds the fixed-capacity windowed moment accumulator the drift
-//! detectors use for windowed mean/std over recent prediction errors.
-
-pub use abacus_metrics::QuantileSketch;
+//! The quantile sketch lives in `abacus_metrics` (so `ServiceStats` can
+//! carry one without a dependency cycle); this module holds the
+//! fixed-capacity windowed moment accumulator the drift detectors use for
+//! windowed mean/std over recent prediction errors.
 
 /// Fixed-capacity sliding window with deterministic mean/std.
 ///

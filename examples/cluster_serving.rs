@@ -7,8 +7,8 @@
 //! ```
 
 use cluster::{
-    build_timeline, cluster_workload, run_cluster, run_cluster_detailed, summarize,
-    AutoscalePolicy, ClusterConfig, ClusterSystem, NodeSignals,
+    build_timeline, cluster_workload, run_cluster_detailed, summarize, AutoscalePolicy,
+    ClusterConfig, ClusterSystem, NodeSignals,
 };
 use dnn_models::ModelLibrary;
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -66,7 +66,8 @@ fn main() {
         Some(mlp),
     );
     let abacus = detailed.records;
-    let clockwork = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None);
+    let clockwork =
+        run_cluster_detailed(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None).records;
 
     println!(
         "{:>6} {:>9} {:>11} {:>11} {:>9} {:>9}",

@@ -8,7 +8,7 @@
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
-use serving::{run_colocation, train_unified, ColocationConfig, PolicyKind, TrainerConfig};
+use serving::{run, train_unified, ColocationConfig, PolicyKind, RunSpec, TrainerConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -65,7 +65,8 @@ fn main() {
     );
     for policy in [PolicyKind::Fcfs, PolicyKind::Edf, PolicyKind::Abacus] {
         let pred = (policy == PolicyKind::Abacus).then(|| mlp.clone());
-        let r = run_colocation(&pair, policy, pred, &lib, &gpu, &noise, &cfg);
+        let spec = RunSpec::new(&pair, policy, pred, &lib, &gpu, &noise, &cfg);
+        let r = run(&spec, None);
         println!(
             "  {:<8} {:>9.1} {:>11.1}% {:>12.1}",
             policy.name(),

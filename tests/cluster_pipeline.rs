@@ -2,8 +2,8 @@
 //! per-GPU serving → timelines, for both systems.
 
 use cluster::{
-    build_timeline, cluster_workload, run_cluster, summarize, AutoscalePolicy, ClusterConfig,
-    ClusterSystem, NodeSignals, ScaleDecision,
+    build_timeline, cluster_workload, run_cluster_detailed, summarize, AutoscalePolicy,
+    ClusterConfig, ClusterSystem, NodeSignals, ScaleDecision,
 };
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -55,15 +55,17 @@ fn cluster_replay_full_accounting() {
     let reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();
     let mlp = trained_quad(&lib, &v100);
 
-    let abacus = run_cluster(
+    let abacus = run_cluster_detailed(
         ClusterSystem::AbacusK8s,
         &cfg,
         &lib,
         &v100,
         &noise,
         Some(mlp),
-    );
-    let clockwork = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None);
+    )
+    .records;
+    let clockwork =
+        run_cluster_detailed(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None).records;
     assert_eq!(abacus.len(), arrivals.len());
     assert_eq!(clockwork.len(), arrivals.len());
 
@@ -108,7 +110,8 @@ fn scaling_out_adds_capacity() {
             gpus_per_node: gpus,
             ..ClusterConfig::paper(trace.clone(), 7)
         };
-        run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None)
+        run_cluster_detailed(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None)
+            .records
             .iter()
             .filter(|r| r.outcome == abacus_metrics::QueryOutcome::Completed)
             .count()

@@ -4,7 +4,7 @@
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
-use serving::{run_colocation, train_unified, ColocationConfig, PolicyKind, TrainerConfig};
+use serving::{run, train_unified, ColocationConfig, PolicyKind, RunSpec, TrainerConfig};
 use std::sync::Arc;
 
 fn setup() -> (Arc<ModelLibrary>, GpuSpec, NoiseModel) {
@@ -41,17 +41,10 @@ fn abacus_beats_fcfs_end_to_end() {
         seed: 5,
         ..ColocationConfig::default()
     };
-    let fcfs = run_colocation(&pair, PolicyKind::Fcfs, None, &lib, &gpu, &noise, &cfg);
-    let edf = run_colocation(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &cfg);
-    let abacus = run_colocation(
-        &pair,
-        PolicyKind::Abacus,
-        Some(mlp),
-        &lib,
-        &gpu,
-        &noise,
-        &cfg,
-    );
+    let spec = |policy, pred| RunSpec::new(&pair, policy, pred, &lib, &gpu, &noise, &cfg);
+    let fcfs = run(&spec(PolicyKind::Fcfs, None), None);
+    let edf = run(&spec(PolicyKind::Edf, None), None);
+    let abacus = run(&spec(PolicyKind::Abacus, Some(mlp)), None);
     assert!(
         abacus.normalized_p99() < fcfs.normalized_p99(),
         "abacus p99n {} vs fcfs {}",
@@ -95,16 +88,9 @@ fn vgg_pair_has_no_overlap_win() {
         ..ColocationConfig::default()
     };
     let gain = |models: &[ModelId]| {
-        let fcfs = run_colocation(models, PolicyKind::Fcfs, None, &lib, &gpu, &noise, &cfg);
-        let abacus = run_colocation(
-            models,
-            PolicyKind::Abacus,
-            Some(mlp.clone()),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-        );
+        let spec = |policy, pred| RunSpec::new(models, policy, pred, &lib, &gpu, &noise, &cfg);
+        let fcfs = run(&spec(PolicyKind::Fcfs, None), None);
+        let abacus = run(&spec(PolicyKind::Abacus, Some(mlp.clone())), None);
         abacus.completed_qps() / fcfs.completed_qps()
     };
     let vgg_gain = gain(&vgg);
@@ -130,7 +116,8 @@ fn query_conservation_across_policies() {
     };
     let mut totals = Vec::new();
     for p in [PolicyKind::Fcfs, PolicyKind::Sjf, PolicyKind::Edf] {
-        let r = run_colocation(&models, p, None, &lib, &gpu, &noise, &cfg);
+        let spec = RunSpec::new(&models, p, None, &lib, &gpu, &noise, &cfg);
+        let r = run(&spec, None);
         totals.push(r.all.total());
         let per_service_sum: usize = r.per_service.iter().map(|s| s.total()).sum();
         assert_eq!(per_service_sum, r.all.total());
@@ -149,8 +136,8 @@ fn end_to_end_determinism() {
         seed: 99,
         ..ColocationConfig::default()
     };
-    let a = run_colocation(&pair, PolicyKind::Sjf, None, &lib, &gpu, &noise, &cfg);
-    let b = run_colocation(&pair, PolicyKind::Sjf, None, &lib, &gpu, &noise, &cfg);
+    let spec = RunSpec::new(&pair, PolicyKind::Sjf, None, &lib, &gpu, &noise, &cfg);
+    let (a, b) = (run(&spec, None), run(&spec, None));
     assert_eq!(a.all.total(), b.all.total());
     assert_eq!(a.all.p99_latency(), b.all.p99_latency());
     assert_eq!(a.all.violation_ratio(), b.all.violation_ratio());

@@ -6,10 +6,9 @@
 //! * **properties** — random [`FaultPlan`]s may degrade QoS arbitrarily,
 //!   but the serving-loop invariants always hold and every issued query is
 //!   retired exactly once (completed + dropped + timed-out = issued);
-//! * **golden no-fault** — `FaultPlan::none()` through the fault-aware
-//!   runner is bit-identical to the plain runner, pinned by a trace
-//!   checksum so an accidental behaviour change of the no-fault path
-//!   cannot slip through;
+//! * **golden no-fault** — the no-fault FCFS and Abacus traces are pinned
+//!   by trace checksums, so an accidental behaviour change of the no-fault
+//!   path cannot slip through;
 //! * **determinism** — the same plan and seed reproduce the identical
 //!   trace, bit for bit.
 
@@ -23,8 +22,8 @@ use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
 use proptest::prelude::*;
 use serving::{
-    run_colocation, run_colocation_faulty, train_unified, ColocationConfig, FaultRunOutcome,
-    NodeOptions, PolicyKind, TrainerConfig,
+    run, train_unified, ColocationConfig, NodeOptions, PolicyKind, RunOutcome, RunSpec,
+    TrainerConfig,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -72,22 +71,28 @@ fn cfg(defended: bool) -> ColocationConfig {
     }
 }
 
-fn run_faulty(policy: PolicyKind, defended: bool, plan: &FaultPlan) -> FaultRunOutcome {
-    let lib = library();
+fn run_faulty(policy: PolicyKind, defended: bool, plan: &FaultPlan) -> RunOutcome {
+    run_cell(policy, defended, &cfg(defended), plan)
+}
+
+/// One cell of `policy` on [`PAIR`] under `plan` and `cfg`; `defended`
+/// adds the serving loop's timeout defence.
+fn run_cell(
+    policy: PolicyKind,
+    defended: bool,
+    cfg: &ColocationConfig,
+    plan: &FaultPlan,
+) -> RunOutcome {
+    let (gpu, noise) = (GpuSpec::a100(), NoiseModel::calibrated());
     let pred = (policy == PolicyKind::Abacus).then(mlp);
-    run_colocation_faulty(
-        &PAIR,
-        policy,
-        pred,
-        lib,
-        &GpuSpec::a100(),
-        &NoiseModel::calibrated(),
-        &cfg(defended),
-        plan,
-        NodeOptions {
+    let spec = RunSpec {
+        plan: plan.clone(),
+        opts: NodeOptions {
             timeout_factor: defended.then_some(3.0),
         },
-    )
+        ..RunSpec::new(&PAIR, policy, pred, library(), &gpu, &noise, cfg)
+    };
+    run(&spec, None)
 }
 
 /// FNV-1a over the full bit pattern of every record — the golden-trace
@@ -160,13 +165,13 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
 
 /// Invariants + conservation for one outcome: however badly the run went,
 /// the books must balance.
-fn assert_sound(out: &FaultRunOutcome) {
+fn assert_sound(out: &RunOutcome) {
     assert_eq!(
         out.invariant_violations,
         Vec::<String>::new(),
         "serving invariants violated"
     );
-    let s = &out.result.all;
+    let s = &out.all;
     assert_eq!(s.total(), out.records.len());
     assert_eq!(s.completed() + s.dropped() + s.timed_out(), s.total());
     for r in &out.records {
@@ -247,46 +252,33 @@ proptest! {
     }
 }
 
-/// `FaultPlan::none()` through the fault-aware runner is bit-identical to
-/// the plain runner that predates the fault layer, for both a baseline and
-/// the full Abacus stack.
+/// A plan that injects nothing, seeded and run through the fault-aware
+/// cell, is bit-identical to the plain fault-free run, for both a baseline
+/// and the full Abacus stack.
 #[test]
 fn golden_none_plan_matches_plain_runner_bitwise() {
-    let lib = library();
-    let gpu = GpuSpec::a100();
-    let noise = NoiseModel::calibrated();
+    let (gpu, noise) = (GpuSpec::a100(), NoiseModel::calibrated());
+    let empty = FaultPlan {
+        seed: 42,
+        ..FaultPlan::none()
+    };
     for policy in [PolicyKind::Fcfs, PolicyKind::Abacus] {
         let pred = (policy == PolicyKind::Abacus).then(mlp);
         let c = cfg(false);
-        let plain = run_colocation(&PAIR, policy, pred.clone(), lib, &gpu, &noise, &c);
-        let faulty = run_colocation_faulty(
-            &PAIR,
-            policy,
-            pred,
-            lib,
-            &gpu,
-            &noise,
-            &c,
-            &FaultPlan::none(),
-            NodeOptions::default(),
+        let plain = run(
+            &RunSpec::new(&PAIR, policy, pred, library(), &gpu, &noise, &c),
+            None,
         );
+        let faulty = run_faulty(policy, false, &empty);
         assert!(faulty.invariant_violations.is_empty());
         assert!(!faulty.degraded);
-        assert_eq!(plain.all.total(), faulty.result.all.total());
         assert_eq!(
-            plain.all.p99_latency().to_bits(),
-            faulty.result.all.p99_latency().to_bits(),
-            "{}: p99 drifted",
+            trace_checksum(&plain.records),
+            trace_checksum(&faulty.records),
+            "{}: trace drifted",
             policy.name()
         );
-        assert_eq!(
-            plain.all.mean_latency().to_bits(),
-            faulty.result.all.mean_latency().to_bits()
-        );
-        assert_eq!(
-            plain.violation_ratio().to_bits(),
-            faulty.result.violation_ratio().to_bits()
-        );
+        assert_eq!(plain.records, faulty.records);
     }
 }
 
@@ -307,6 +299,23 @@ fn golden_no_fault_trace_checksum_is_pinned() {
 /// See [`golden_no_fault_trace_checksum_is_pinned`].
 const GOLDEN_FCFS_TRACE_CHECKSUM: u64 = 9_024_202_897_011_311_138;
 
+/// Checksum pin of the no-fault Abacus golden trace: the full controller
+/// (the file's deterministic [`mlp`] predictor, pinned `predict_round_ms`,
+/// no defences) on the same pair and workload as the FCFS pin. Update it
+/// only for an intentional change to Abacus serving semantics.
+#[test]
+fn golden_no_fault_abacus_trace_checksum_is_pinned() {
+    let out = run_faulty(PolicyKind::Abacus, false, &FaultPlan::none());
+    assert_eq!(
+        trace_checksum(&out.records),
+        GOLDEN_ABACUS_TRACE_CHECKSUM,
+        "no-fault Abacus trace drifted from the pinned golden checksum"
+    );
+}
+
+/// See [`golden_no_fault_abacus_trace_checksum_is_pinned`].
+const GOLDEN_ABACUS_TRACE_CHECKSUM: u64 = 5_145_732_610_400_112_699;
+
 /// The full intensity × policy sweep the CLI `faults` subcommand runs, at
 /// a longer horizon: every cell must hold the serving invariants, the
 /// whole sweep must reproduce bit-for-bit, and FCFS's violation ratio must
@@ -315,9 +324,6 @@ const GOLDEN_FCFS_TRACE_CHECKSUM: u64 = 9_024_202_897_011_311_138;
 #[test]
 #[ignore = "long-running fault sweep; scripts/ci.sh runs it via --include-ignored"]
 fn full_sweep_holds_invariants_and_reproduces() {
-    let lib = library();
-    let gpu = GpuSpec::a100();
-    let noise = NoiseModel::calibrated();
     let cfg = ColocationConfig {
         horizon_ms: 4_000.0,
         ..cfg(true)
@@ -330,20 +336,7 @@ fn full_sweep_holds_invariants_and_reproduces() {
                 ("fcfs", PolicyKind::Fcfs, false),
                 ("abacus+def", PolicyKind::Abacus, true),
             ] {
-                let pred = (policy == PolicyKind::Abacus).then(mlp);
-                let out = run_colocation_faulty(
-                    &PAIR,
-                    policy,
-                    pred,
-                    lib,
-                    &gpu,
-                    &noise,
-                    &cfg,
-                    &plan,
-                    NodeOptions {
-                        timeout_factor: defended.then_some(3.0),
-                    },
-                );
+                let out = run_cell(policy, defended, &cfg, &plan);
                 assert_eq!(
                     out.invariant_violations,
                     Vec::<String>::new(),
@@ -354,7 +347,7 @@ fn full_sweep_holds_invariants_and_reproduces() {
                     intensity,
                     name,
                     trace_checksum(&out.records),
-                    out.result.violation_ratio(),
+                    out.violation_ratio(),
                 ));
             }
         }

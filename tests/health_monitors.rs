@@ -11,8 +11,7 @@ use faults::{ArrivalBurst, FaultPlan, PredictorFault};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
 use serving::{
-    run_colocation_certified, run_colocation_observed, train_unified, ColocationConfig,
-    NodeOptions, PolicyKind, TrainerConfig,
+    run, train_unified, ColocationConfig, PolicyKind, RunOutcome, RunSpec, TrainerConfig,
 };
 use std::sync::{Arc, OnceLock};
 use telemetry::{
@@ -85,23 +84,23 @@ fn plan_seed() -> u64 {
     fork_seed(2021, 0x8E17)
 }
 
+/// Run one Abacus cell under `plan`, recording into `telemetry` when
+/// attached.
+fn serve(plan: &FaultPlan, telemetry: Option<&mut Telemetry>) -> RunOutcome {
+    let (gpu, noise) = (GpuSpec::a100(), NoiseModel::calibrated());
+    let (pred, lib) = (Some(mlp()), library());
+    let spec = RunSpec {
+        plan: plan.clone(),
+        ..RunSpec::new(&PAIR, PolicyKind::Abacus, pred, lib, &gpu, &noise, &cfg())
+    };
+    run(&spec, telemetry)
+}
+
 /// Run one observed Abacus cell and return its telemetry.
 fn observe(plan: &FaultPlan) -> Telemetry {
     let mut tel = Telemetry::default();
     tel.enable_health(health_config());
-    let out = run_colocation_observed(
-        &PAIR,
-        PolicyKind::Abacus,
-        Some(mlp()),
-        None,
-        library(),
-        &GpuSpec::a100(),
-        &NoiseModel::calibrated(),
-        &cfg(),
-        plan,
-        NodeOptions::default(),
-        Some(&mut tel),
-    );
+    let out = serve(plan, Some(&mut tel));
     assert_eq!(
         out.invariant_violations,
         Vec::<String>::new(),
@@ -142,33 +141,10 @@ fn burst_plan(intensity: f64) -> FaultPlan {
 #[test]
 fn monitors_do_not_perturb_the_simulation() {
     let plan = FaultPlan::none();
-    let unobserved = run_colocation_certified(
-        &PAIR,
-        PolicyKind::Abacus,
-        Some(mlp()),
-        None,
-        library(),
-        &GpuSpec::a100(),
-        &NoiseModel::calibrated(),
-        &cfg(),
-        &plan,
-        NodeOptions::default(),
-    );
+    let unobserved = serve(&plan, None);
     let mut tel = Telemetry::default();
     tel.enable_health(health_config());
-    let observed = run_colocation_observed(
-        &PAIR,
-        PolicyKind::Abacus,
-        Some(mlp()),
-        None,
-        library(),
-        &GpuSpec::a100(),
-        &NoiseModel::calibrated(),
-        &cfg(),
-        &plan,
-        NodeOptions::default(),
-        Some(&mut tel),
-    );
+    let observed = serve(&plan, Some(&mut tel));
     assert_eq!(unobserved.records, observed.records);
     assert_eq!(unobserved.degraded, observed.degraded);
 }

@@ -8,8 +8,7 @@ use faults::{FaultPlan, PredictorFault};
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
 use predictor::LatencyModel;
 use serving::{
-    run_colocation, run_colocation_certified, run_colocation_faulty, run_with_services,
-    train_certified, train_unified, ColocationConfig, NodeOptions, PolicyKind, ServiceSpec,
+    run, train_certified, train_unified, ColocationConfig, NodeOptions, PolicyKind, RunSpec,
     TrainerConfig,
 };
 use std::sync::Arc;
@@ -61,7 +60,8 @@ fn light_load_meets_qos_for_all_policies() {
     };
     for p in PolicyKind::ALL {
         let pred = (p == PolicyKind::Abacus).then(|| mlp.clone());
-        let r = run_colocation(&pair, p, pred, &lib, &gpu, &noise, &cfg);
+        let spec = RunSpec::new(&pair, p, pred, &lib, &gpu, &noise, &cfg);
+        let r = run(&spec, None);
         assert!(
             r.violation_ratio() < 0.02,
             "{}: viol {}",
@@ -84,15 +84,9 @@ fn abacus_completed_queries_meet_per_service_qos() {
         seed: 12,
         ..ColocationConfig::default()
     };
-    let r = run_colocation(
-        &pair,
-        PolicyKind::Abacus,
-        Some(mlp),
-        &lib,
-        &gpu,
-        &noise,
-        &cfg,
-    );
+    let pred = Some(mlp);
+    let spec = RunSpec::new(&pair, PolicyKind::Abacus, pred, &lib, &gpu, &noise, &cfg);
+    let r = run(&spec, None);
     for (i, s) in r.per_service.iter().enumerate() {
         if s.completed() == 0 {
             continue;
@@ -128,26 +122,20 @@ fn drop_mechanism_sheds_infeasible_queries() {
 fn mig_isolation_story() {
     let (lib, gpu, noise) = setup();
     let small = gpu.mig_slice(MigProfile::OneG5Gb);
-    let qos = lib.qos_target_ms(ModelId::ResNet152, &gpu);
-    let services = vec![ServiceSpec {
-        model: ModelId::ResNet152,
-        qos_ms: qos,
-    }];
     let cfg = ColocationConfig {
         qps_per_service: 8.0,
         horizon_ms: 8_000.0,
         seed: 13,
         ..ColocationConfig::default()
     };
-    let isolated = run_with_services(
-        &services,
-        PolicyKind::Fcfs,
-        None,
-        &lib,
-        &small,
-        &noise,
-        &cfg,
-    );
+    let model = [ModelId::ResNet152];
+    let on = |gpu| RunSpec::new(&model, PolicyKind::Fcfs, None, &lib, gpu, &noise, &cfg);
+    // Full-A100 QoS targets on the slice.
+    let isolated = RunSpec {
+        services: on(&gpu).services,
+        ..on(&small)
+    };
+    let isolated = run(&isolated, None);
     // The 1/7 slice cannot run ResNet-152's large inputs inside a QoS
     // target calibrated for the full GPU.
     assert!(
@@ -155,16 +143,7 @@ fn mig_isolation_story() {
         "isolated viol {}",
         isolated.violation_ratio()
     );
-    let full = run_colocation(
-        &[ModelId::ResNet152],
-        PolicyKind::Fcfs,
-        None,
-        &lib,
-        &gpu,
-        &noise,
-        &cfg,
-    );
-    assert!(full.violation_ratio() < isolated.violation_ratio());
+    assert!(run(&on(&gpu), None).violation_ratio() < isolated.violation_ratio());
 }
 
 /// Metamorphic: raising the fault intensity never makes serving *better*.
@@ -183,20 +162,13 @@ fn qos_violations_monotone_in_fault_intensity() {
     };
     let mut last = -1.0;
     for intensity in [0.0, 0.5, 1.0] {
-        let plan = FaultPlan::at_intensity(41, intensity);
-        let out = run_colocation_faulty(
-            &pair,
-            PolicyKind::Fcfs,
-            None,
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            NodeOptions::default(),
-        );
+        let spec = RunSpec {
+            plan: FaultPlan::at_intensity(41, intensity),
+            ..RunSpec::new(&pair, PolicyKind::Fcfs, None, &lib, &gpu, &noise, &cfg)
+        };
+        let out = run(&spec, None);
         assert!(out.invariant_violations.is_empty());
-        let v = out.result.violation_ratio();
+        let v = out.violation_ratio();
         assert!(
             v >= last - 0.02,
             "intensity {intensity}: violation ratio {v} dropped below {last}"
@@ -236,39 +208,24 @@ fn degraded_abacus_never_worse_than_fcfs_under_total_predictor_failure() {
         predictor: Some(PredictorFault::Freeze { value_ms: 0.01 }),
         ..FaultPlan::none()
     };
-    let defended = run_colocation_faulty(
-        &pair,
-        PolicyKind::Abacus,
-        Some(mlp),
-        &lib,
-        &gpu,
-        &noise,
-        &cfg,
-        &plan,
-        NodeOptions {
+    let spec = |policy, pred| RunSpec {
+        plan: plan.clone(),
+        ..RunSpec::new(&pair, policy, pred, &lib, &gpu, &noise, &cfg)
+    };
+    let defended = RunSpec {
+        opts: NodeOptions {
             timeout_factor: Some(3.0),
         },
-    );
+        ..spec(PolicyKind::Abacus, Some(mlp))
+    };
+    let defended = run(&defended, None);
     assert!(defended.invariant_violations.is_empty());
     assert!(
         defended.degraded,
         "total predictor failure must trip the FCFS fallback"
     );
-    let fcfs = run_colocation_faulty(
-        &pair,
-        PolicyKind::Fcfs,
-        None,
-        &lib,
-        &gpu,
-        &noise,
-        &cfg,
-        &plan,
-        NodeOptions::default(),
-    );
-    let (dv, fv) = (
-        defended.result.violation_ratio(),
-        fcfs.result.violation_ratio(),
-    );
+    let fcfs = run(&spec(PolicyKind::Fcfs, None), None);
+    let (dv, fv) = (defended.violation_ratio(), fcfs.violation_ratio());
     assert!(
         dv <= fv + 0.05,
         "degraded Abacus ({dv}) worse than plain FCFS ({fv})"
@@ -278,9 +235,9 @@ fn degraded_abacus_never_worse_than_fcfs_under_total_predictor_failure() {
 /// Byte-identity regression: with conformal certification *disabled*, a
 /// run that carries a fully trained certifier produces the exact same
 /// per-query record stream — and the exact same serialized CSV bytes — as
-/// the pre-certification entry point, both fault-free and under a PR 4
-/// fault plan. The `conformal` flag is the only thing allowed to change
-/// behaviour; merely attaching the artifact must be inert end-to-end.
+/// the same run without it, both fault-free and under a fault plan. The
+/// `conformal` flag is the only thing allowed to change behaviour; merely
+/// attaching the artifact must be inert end-to-end.
 #[test]
 fn conformal_disabled_is_byte_identical_end_to_end() {
     let (lib, gpu, noise) = setup();
@@ -324,30 +281,21 @@ fn conformal_disabled_is_byte_identical_end_to_end() {
         s
     };
     for plan in [FaultPlan::none(), FaultPlan::at_intensity(41, 0.5)] {
-        let plain = run_colocation_faulty(
-            &pair,
-            PolicyKind::Abacus,
-            Some(mean.clone()),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            NodeOptions::default(),
+        let pred = Some(mean.clone());
+        let spec = RunSpec {
+            plan,
+            ..RunSpec::new(&pair, PolicyKind::Abacus, pred, &lib, &gpu, &noise, &cfg)
+        };
+        let plain = run(&spec, None);
+        let carried = run(
+            &RunSpec {
+                certifier: Some(certifier.clone()),
+                ..spec.clone()
+            },
+            None,
         );
-        let carried = run_colocation_certified(
-            &pair,
-            PolicyKind::Abacus,
-            Some(mean.clone()),
-            Some(certifier.clone()),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            NodeOptions::default(),
-        );
-        assert_eq!(plain.records, carried.records, "plan seed {}", plan.seed);
+        let seed = spec.plan.seed;
+        assert_eq!(plain.records, carried.records, "plan seed {seed}");
         assert_eq!(csv(&plain.records), csv(&carried.records));
         assert_eq!(plain.degraded, carried.degraded);
         assert_eq!(
@@ -369,8 +317,11 @@ fn sjf_overhead_visible_under_pressure() {
         seed: 14,
         ..ColocationConfig::default()
     };
-    let fcfs = run_colocation(&pair, PolicyKind::Fcfs, None, &lib, &gpu, &noise, &cfg);
-    let sjf = run_colocation(&pair, PolicyKind::Sjf, None, &lib, &gpu, &noise, &cfg);
+    let spec = |policy| RunSpec::new(&pair, policy, None, &lib, &gpu, &noise, &cfg);
+    let (fcfs, sjf) = (
+        run(&spec(PolicyKind::Fcfs), None),
+        run(&spec(PolicyKind::Sjf), None),
+    );
     // Same offered work.
     assert_eq!(fcfs.all.total(), sjf.all.total());
     // SJF's mean latency for completed small jobs is lower (that is its

@@ -1,8 +1,8 @@
 //! Workspace-spanning tests of the telemetry subsystem:
 //!
 //! * **observer effect** — running with telemetry attached yields results
-//!   exactly equal to the plain runner (the instrumented loop records, it
-//!   never perturbs);
+//!   exactly equal to the same run without it (the instrumented loop
+//!   records, it never perturbs);
 //! * **event-stream shape** — exactly one arrival and one retirement per
 //!   query, with registry counters agreeing with the aggregate stats;
 //! * **ledger discipline** — executed rounds never overlap in wall time
@@ -16,10 +16,7 @@ use abacus_core::AbacusConfig;
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
-use serving::{
-    run_colocation, run_colocation_traced, train_unified, ColocationConfig, PolicyKind,
-    TrainerConfig,
-};
+use serving::{run, train_unified, ColocationConfig, PolicyKind, RunSpec, TrainerConfig};
 use std::sync::Arc;
 use telemetry::{ChromeTrace, Counter, Hist, QueryEventKind, Telemetry};
 
@@ -69,16 +66,16 @@ fn cfg(seed: u64) -> ColocationConfig {
 }
 
 /// Attaching telemetry must not perturb the simulation: every aggregate of
-/// the traced run equals the plain runner's bit for bit.
+/// the traced run equals the untraced run's bit for bit.
 #[test]
 fn telemetry_does_not_perturb_results() {
     let (lib, gpu, noise) = setup();
     let pair = [ModelId::ResNet50, ModelId::InceptionV3];
     let c = cfg(21);
-    let plain = run_colocation(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &c);
+    let spec = RunSpec::new(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &c);
+    let plain = run(&spec, None);
     let mut tel = Telemetry::with_kernel_trace();
-    let (traced, records) =
-        run_colocation_traced(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &c, &mut tel);
+    let traced = run(&spec, Some(&mut tel));
     assert_eq!(plain.all.total(), traced.all.total());
     assert_eq!(plain.all.completed(), traced.all.completed());
     // Exact f64 equality — any drift means the telemetry branch leaked
@@ -87,7 +84,8 @@ fn telemetry_does_not_perturb_results() {
     assert_eq!(plain.all.p99_latency(), traced.all.p99_latency());
     assert_eq!(plain.all.mean_queue_ms(), traced.all.mean_queue_ms());
     assert_eq!(plain.violation_ratio(), traced.violation_ratio());
-    assert_eq!(records.len() as u64, tel.registry.get(Counter::QueriesArrived));
+    let arrived = tel.registry.get(Counter::QueriesArrived);
+    assert_eq!(traced.records.len() as u64, arrived);
 }
 
 /// Every query arrives exactly once and retires exactly once, and the
@@ -97,17 +95,9 @@ fn event_stream_is_one_lifecycle_per_query() {
     let (lib, gpu, noise) = setup();
     let pair = [ModelId::ResNet50, ModelId::InceptionV3];
     let mut tel = Telemetry::new();
-    let (result, records) = run_colocation_traced(
-        &pair,
-        PolicyKind::Fcfs,
-        None,
-        &lib,
-        &gpu,
-        &noise,
-        &cfg(22),
-        &mut tel,
-    );
-    let n = records.len();
+    let spec = RunSpec::new(&pair, PolicyKind::Fcfs, None, &lib, &gpu, &noise, &cfg(22));
+    let result = run(&spec, Some(&mut tel));
+    let n = result.records.len();
     assert!(n > 50, "run too small to be meaningful: {n} queries");
     let mut arrived = vec![0u32; n];
     let mut retired = vec![0u32; n];
@@ -145,7 +135,7 @@ fn abacus_ledger_kernel_spans_and_export() {
     let pair = [ModelId::ResNet50, ModelId::InceptionV3];
     let mlp = trained_pair(&pair, &lib, &gpu, &noise);
     let mut tel = Telemetry::with_kernel_trace();
-    let (_, records) = run_colocation_traced(
+    let spec = RunSpec::new(
         &pair,
         PolicyKind::Abacus,
         Some(mlp),
@@ -153,9 +143,8 @@ fn abacus_ledger_kernel_spans_and_export() {
         &gpu,
         &noise,
         &cfg(23),
-        &mut tel,
     );
-    assert!(!records.is_empty());
+    assert!(!run(&spec, Some(&mut tel)).records.is_empty());
 
     // Executed rounds are disjoint in wall time, in round order.
     let executed: Vec<_> = tel
