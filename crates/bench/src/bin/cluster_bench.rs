@@ -35,8 +35,8 @@ use abacus_metrics::{QueryOutcome, QueryRecord, ServiceStats};
 use cluster::{ClusterConfig, NodePool, RoutedClusterConfig};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use gpu_sim::{GpuSpec, NoiseModel};
-use predictor::features::SLOT_WIDTH;
-use predictor::{LatencyModel, MAX_COLOCATED, MODEL_SLOT_BASE};
+use predictor::LatencyModel;
+use reference::SpanModel;
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,56 +58,6 @@ const PEAK_QPS: f64 = 78000.0;
 /// Per-round prediction latency pinned for both paths, ms (simulated time
 /// only; keeps the Abacus overhead account host-independent).
 const PREDICT_ROUND_MS: f64 = 0.09;
-
-/// Constant-time synthetic predictor calibrated to the reference GPU:
-/// per-slot cost proportional to the normalised operator span times the
-/// model's solo latency. Cheap enough that ingress + decision mechanics
-/// dominate the measurement, monotone enough that headroom scores and
-/// search budgets are meaningful.
-struct SpanModel {
-    solo_ms: [f64; ModelId::ALL.len()],
-}
-
-impl SpanModel {
-    fn new(lib: &ModelLibrary, gpu: &GpuSpec) -> Self {
-        let mut solo_ms = [0.0; ModelId::ALL.len()];
-        for (i, m) in ModelId::ALL.into_iter().enumerate() {
-            solo_ms[i] = lib.solo_ms(m, m.max_input(), gpu);
-        }
-        Self { solo_ms }
-    }
-}
-
-impl LatencyModel for SpanModel {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        let mut total: f64 = 0.0;
-        let mut slot = 0;
-        for (idx, _) in ModelId::ALL.into_iter().enumerate() {
-            if x[idx] > 0.5 {
-                let base = MODEL_SLOT_BASE + slot * SLOT_WIDTH;
-                total += (x[base + 1] - x[base]) * self.solo_ms[idx];
-                slot += 1;
-            }
-        }
-        debug_assert!(slot <= MAX_COLOCATED);
-        total
-    }
-    // Statically-dispatched batch path: one dyn call per batch instead of
-    // one per row. Shared by both paths, so it shifts no cost between them.
-    fn predict_into(&self, xs: &[f64], n: usize, out: &mut Vec<f64>) {
-        out.clear();
-        if n == 0 {
-            assert!(xs.is_empty(), "rows supplied but n == 0");
-            return;
-        }
-        assert_eq!(xs.len() % n, 0, "ragged feature matrix");
-        let dim = xs.len() / n;
-        out.extend(xs.chunks_exact(dim).map(|row| self.predict_one(row)));
-    }
-    fn name(&self) -> &'static str {
-        "span"
-    }
-}
 
 /// The pre-overhaul cluster path, kept as the measured perf baseline.
 ///
@@ -490,7 +440,7 @@ fn main() {
         spill_slack_ms: 20.0,
         autoscale: None,
     };
-    let span: Arc<dyn LatencyModel> = Arc::new(SpanModel::new(&lib, &reference));
+    let span: Arc<dyn LatencyModel> = Arc::new(SpanModel::solo_weighted(&lib, &reference));
 
     eprintln!(
         "cluster workload: ~{:.0} queries over a 16-GPU heterogeneous fleet...",

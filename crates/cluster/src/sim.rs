@@ -549,33 +549,7 @@ fn run_clockwork(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predictor::features::SLOT_WIDTH;
-    use predictor::MAX_COLOCATED;
-
-    /// Cheap monotone predictor for tests.
-    struct SpanModel {
-        lib: Arc<ModelLibrary>,
-        gpu: GpuSpec,
-    }
-    impl LatencyModel for SpanModel {
-        fn predict_one(&self, x: &[f64]) -> f64 {
-            let mut total = 0.0;
-            let mut slot = 0;
-            for (idx, m) in ModelId::ALL.into_iter().enumerate() {
-                if x[idx] > 0.5 {
-                    let base = predictor::MODEL_SLOT_BASE + slot * SLOT_WIDTH;
-                    let span = x[base + 1] - x[base];
-                    total += span * self.lib.solo_ms(m, m.max_input(), &self.gpu);
-                    slot += 1;
-                }
-            }
-            debug_assert!(slot <= MAX_COLOCATED);
-            total
-        }
-        fn name(&self) -> &'static str {
-            "span"
-        }
-    }
+    use reference::SpanModel;
 
     fn tiny_cfg(peak_qps: f64) -> ClusterConfig {
         let trace = RateTrace::new(vec![peak_qps; 2]); // 2 minutes flat
@@ -593,10 +567,7 @@ mod tests {
         let noise = NoiseModel::calibrated();
         let cfg = tiny_cfg(40.0);
         let (arrivals, _) = cluster_workload(&cfg, &lib);
-        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
+        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel::solo_weighted(&lib, &gpu));
         let a = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
             &cfg,
@@ -637,10 +608,7 @@ mod tests {
         let gpu = GpuSpec::v100();
         let noise = NoiseModel::calibrated();
         let cfg = tiny_cfg(80.0); // keep both systems busy
-        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
+        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel::solo_weighted(&lib, &gpu));
         let a = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
             &cfg,
@@ -680,10 +648,7 @@ mod tests {
         // Pin the prediction-round latency: the default calibrates it from
         // the wall clock, which would differ between the two runs.
         cfg.abacus.predict_round_ms = Some(0.08);
-        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
+        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel::solo_weighted(&lib, &gpu));
         cfg.parallel = false;
         let serial = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
@@ -719,10 +684,7 @@ mod tests {
             ..ClusterConfig::paper(trace, 5)
         };
         cfg.abacus.predict_round_ms = Some(0.08);
-        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
+        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel::solo_weighted(&lib, &gpu));
         let healthy = run_cluster_detailed(
             ClusterSystem::AbacusK8s,
             &cfg,

@@ -598,28 +598,11 @@ impl Scheduler for AbacusScheduler {
 mod tests {
     use super::*;
     use dnn_models::{ModelId, QueryInput};
-    use predictor::features::SLOT_WIDTH;
-    use predictor::MAX_COLOCATED;
-
-    /// Synthetic monotone duration model (same as the search tests).
-    struct SpanModel;
-    impl LatencyModel for SpanModel {
-        fn predict_one(&self, x: &[f64]) -> f64 {
-            let mut total: f64 = 0.0;
-            for slot in 0..MAX_COLOCATED {
-                let base = predictor::MODEL_SLOT_BASE + slot * SLOT_WIDTH;
-                total += (x[base + 1] - x[base]) * 10.0;
-            }
-            total
-        }
-        fn name(&self) -> &'static str {
-            "span"
-        }
-    }
+    use reference::SpanModel;
 
     fn scheduler(pipelined: bool) -> AbacusScheduler {
         AbacusScheduler::new(
-            Arc::new(SpanModel),
+            Arc::new(SpanModel::uniform(10.0)),
             Arc::new(ModelLibrary::new()),
             AbacusConfig {
                 pipelined,
@@ -705,7 +688,7 @@ mod tests {
 
     #[test]
     fn calibration_is_bounded_and_finite() {
-        let ms = calibrate_predict_round_ms(&SpanModel, 4);
+        let ms = calibrate_predict_round_ms(&SpanModel::uniform(10.0), 4);
         assert!(ms.is_finite());
         assert!((1e-4..=1.0).contains(&ms), "calibrated {ms} ms");
     }
@@ -720,7 +703,7 @@ mod tests {
     #[test]
     fn explicit_round_latency_is_respected() {
         let s = AbacusScheduler::new(
-            Arc::new(SpanModel),
+            Arc::new(SpanModel::uniform(10.0)),
             Arc::new(ModelLibrary::new()),
             AbacusConfig {
                 predict_round_ms: Some(0.25),
@@ -757,7 +740,7 @@ mod tests {
 
     #[test]
     fn rolling_error_tracks_misprediction() {
-        let mut s = defended(None, false, Arc::new(SpanModel));
+        let mut s = defended(None, false, Arc::new(SpanModel::uniform(10.0)));
         let queue = vec![query(1, ModelId::ResNet50, 0.0, 100.0)];
         let d = s.decide(0.0, &queue);
         let predicted = d.group.unwrap().predicted_ms;
@@ -769,14 +752,14 @@ mod tests {
 
     #[test]
     fn adaptive_margin_widens_with_error() {
-        let mut s = defended(None, true, Arc::new(SpanModel));
+        let mut s = defended(None, true, Arc::new(SpanModel::uniform(10.0)));
         assert_eq!(s.effective_margin_frac(), s.config().margin_frac);
         let queue = vec![query(1, ModelId::ResNet50, 0.0, 100.0)];
         let d = s.decide(0.0, &queue);
         s.on_group_complete(d.group.unwrap().predicted_ms * 2.0);
         assert!(s.effective_margin_frac() > s.config().margin_frac);
         // Off by default: same history, fixed margin.
-        let mut fixed = defended(None, false, Arc::new(SpanModel));
+        let mut fixed = defended(None, false, Arc::new(SpanModel::uniform(10.0)));
         let d = fixed.decide(0.0, &queue);
         fixed.on_group_complete(d.group.unwrap().predicted_ms * 2.0);
         assert_eq!(fixed.effective_margin_frac(), fixed.config().margin_frac);
@@ -784,7 +767,7 @@ mod tests {
 
     #[test]
     fn error_threshold_trips_fcfs_fallback() {
-        let mut s = defended(Some(0.5), false, Arc::new(SpanModel));
+        let mut s = defended(Some(0.5), false, Arc::new(SpanModel::uniform(10.0)));
         let queue = vec![
             query(1, ModelId::ResNet50, 0.0, 100.0),
             query(2, ModelId::Bert, 5.0, 100.0),
@@ -841,7 +824,7 @@ mod tests {
 
     fn conformal(certifier: Option<Arc<dyn LatencyModel>>, enabled: bool) -> AbacusScheduler {
         AbacusScheduler::with_certifier(
-            Arc::new(SpanModel),
+            Arc::new(SpanModel::uniform(10.0)),
             certifier,
             Arc::new(ModelLibrary::new()),
             AbacusConfig {
@@ -857,7 +840,7 @@ mod tests {
         // Certifier = mean × 1.5 (a constant-width interval): planning uses
         // the inflated bound, but `predicted_ms` stays the mean estimate.
         let certifier: Arc<dyn LatencyModel> =
-            Arc::new(predictor::DeratedModel::new(Arc::new(SpanModel), 1.5));
+            Arc::new(predictor::DeratedModel::new(Arc::new(SpanModel::uniform(10.0)), 1.5));
         let mut s = conformal(Some(certifier), true);
         let queue = vec![query(1, ModelId::ResNet50, 0.0, 100.0)];
         let d = s.decide(5.0, &queue);
@@ -880,7 +863,7 @@ mod tests {
         let d = margined.decide(0.0, &queue);
         assert_eq!(d.dropped, vec![1]);
         assert!(d.group.is_none());
-        let mut certified = conformal(Some(Arc::new(SpanModel)), true);
+        let mut certified = conformal(Some(Arc::new(SpanModel::uniform(10.0))), true);
         let d = certified.decide(0.0, &queue);
         assert!(d.dropped.is_empty());
         let g = d.group.unwrap();
@@ -893,7 +876,7 @@ mod tests {
         // a certifier — must both decide bit-identically to the plain
         // controller, with no certified bound recorded.
         let wild: Arc<dyn LatencyModel> =
-            Arc::new(predictor::DeratedModel::new(Arc::new(SpanModel), 50.0));
+            Arc::new(predictor::DeratedModel::new(Arc::new(SpanModel::uniform(10.0)), 50.0));
         let queue = vec![
             query(1, ModelId::ResNet50, 0.0, 100.0),
             query(2, ModelId::Bert, 0.0, 30.0),

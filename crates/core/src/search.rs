@@ -325,26 +325,7 @@ mod tests {
     use super::*;
     use dnn_models::{ModelId, ModelLibrary, QueryInput};
     use predictor::features::SLOT_WIDTH;
-
-    /// A synthetic monotone duration model: per-slot cost proportional to
-    /// the normalised operator span, as if all operators were equal.
-    struct SpanModel {
-        ms_per_unit_span: f64,
-    }
-
-    impl LatencyModel for SpanModel {
-        fn predict_one(&self, x: &[f64]) -> f64 {
-            let mut total: f64 = 0.0;
-            for slot in 0..MAX_COLOCATED {
-                let base = predictor::MODEL_SLOT_BASE + slot * SLOT_WIDTH;
-                total += (x[base + 1] - x[base]) * self.ms_per_unit_span;
-            }
-            total
-        }
-        fn name(&self) -> &'static str {
-            "span"
-        }
-    }
+    use reference::SpanModel;
 
     fn lib() -> ModelLibrary {
         ModelLibrary::new()
@@ -363,7 +344,7 @@ mod tests {
     fn head_always_fully_included() {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 30);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel::uniform(10.0);
         // Remaining span of q0: (125-30)/125 * 10 = 7.6 ms < 8.
         match plan_group(&[&q0], 8.0, &model, &lib, 4) {
             SearchResult::Planned(p) => {
@@ -380,7 +361,7 @@ mod tests {
     fn infeasible_head_is_reported() {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel::uniform(10.0);
         // Full span = 10 ms > 5 ms budget.
         assert!(matches!(
             plan_group(&[&q0], 5.0, &model, &lib, 4),
@@ -394,7 +375,7 @@ mod tests {
         let q0 = query(0, ModelId::ResNet50, 0);
         let q1 = query(1, ModelId::Bert, 0);
         let q2 = query(2, ModelId::Vgg16, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel::uniform(10.0);
         // Budget 25 ms: q0 (10) + q1 (10) fit; q2 (10) does not fit fully,
         // so its prefix is added partially.
         match plan_group(&[&q0, &q1, &q2], 25.0, &model, &lib, 4) {
@@ -421,7 +402,7 @@ mod tests {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 100); // small remaining span
         let q1 = query(1, ModelId::ResNet152, 0); // 363 ops to slice
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel::uniform(10.0);
         // q0 remaining: 25/125*10 = 2 ms. Budget 7 ms -> 5 ms for q1:
         // 5 ms = 0.5 span = ~181 ops.
         match plan_group(&[&q0, &q1], 7.0, &model, &lib, 4) {
@@ -492,7 +473,7 @@ mod tests {
         // A NaN budget (poisoned headroom) must drop, not plan.
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel::uniform(10.0);
         assert!(matches!(
             plan_group(&[&q0], f64::NAN, &model, &lib, 4),
             SearchResult::Infeasible { .. }
@@ -504,7 +485,7 @@ mod tests {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 100);
         let q1 = query(1, ModelId::ResNet152, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel::uniform(10.0);
         let ops_of = |ways| match plan_group(&[&q0, &q1], 7.0, &model, &lib, ways) {
             SearchResult::Planned(p) => p.entries[1].len(),
             _ => panic!(),
@@ -521,203 +502,12 @@ mod tests {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 100);
         let q1 = query(1, ModelId::ResNet152, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel::uniform(10.0);
         let rounds_of = |ways| match plan_group(&[&q0, &q1], 7.0, &model, &lib, ways) {
             SearchResult::Planned(p) => p.prediction_rounds,
             _ => panic!(),
         };
         assert!(rounds_of(8) <= rounds_of(2));
-    }
-
-    /// The pre-refactor search, kept verbatim as a golden reference: it
-    /// materialises a fresh `GroupSpec` and feature `Vec` per probe. The
-    /// buffered hot path must report byte-identical plans and round counts.
-    mod reference {
-        use super::super::*;
-        use predictor::GroupSpec;
-
-        fn candidate_spec(
-            queries: &[&Query],
-            full: usize,
-            partial_ops: usize,
-            lib: &ModelLibrary,
-        ) -> GroupSpec {
-            let mut entries: Vec<GroupEntry> = Vec::with_capacity(full + 2);
-            for q in &queries[..=full] {
-                entries.push(GroupEntry {
-                    model: q.model,
-                    op_start: q.next_op,
-                    op_end: q.n_ops,
-                    input: q.input,
-                });
-            }
-            if partial_ops > 0 {
-                let q = queries[full + 1];
-                entries.push(GroupEntry {
-                    model: q.model,
-                    op_start: q.next_op,
-                    op_end: q.next_op + partial_ops,
-                    input: q.input,
-                });
-            }
-            GroupSpec::new(entries, lib)
-        }
-
-        fn predict_batch(
-            specs: &[GroupSpec],
-            model: &dyn LatencyModel,
-            lib: &ModelLibrary,
-            rounds: &mut usize,
-        ) -> Vec<f64> {
-            *rounds += 1;
-            let xs: Vec<Vec<f64>> = specs.iter().map(|s| s.features(lib)).collect();
-            model.predict_batch(&xs)
-        }
-
-        pub fn plan_group(
-            queries: &[&Query],
-            budget_ms: f64,
-            model: &dyn LatencyModel,
-            lib: &ModelLibrary,
-            ways: usize,
-        ) -> SearchResult {
-            assert!(!queries.is_empty(), "need at least one query");
-            assert!(ways >= 1, "need at least one search way");
-            let mut rounds = 0;
-
-            let max_full = (queries.len() - 1).min(MAX_COLOCATED - 1);
-            let candidates: Vec<GroupSpec> = (0..=max_full)
-                .map(|j| candidate_spec(queries, j, 0, lib))
-                .collect();
-            let mut level1 = Vec::with_capacity(candidates.len());
-            for chunk in candidates.chunks(ways.max(1)) {
-                level1.extend(predict_batch(chunk, model, lib, &mut rounds));
-            }
-            if level1[0] > budget_ms {
-                return SearchResult::Infeasible {
-                    prediction_rounds: rounds,
-                };
-            }
-            let mut best_full = 0;
-            let mut best_pred = level1[0];
-            for (j, &p) in level1.iter().enumerate().skip(1) {
-                if p <= budget_ms {
-                    best_full = j;
-                    best_pred = p;
-                } else {
-                    break;
-                }
-            }
-
-            let mut partial_ops = 0;
-            if best_full < max_full {
-                let next_q = queries[best_full + 1];
-                let rem = next_q.remaining_ops();
-                let mut lo = 0usize;
-                let mut hi = rem;
-                let mut lo_pred = best_pred;
-                while hi - lo > 1 {
-                    let span = hi - lo;
-                    let mut probes: Vec<usize> = (1..=ways)
-                        .map(|i| lo + (span * i) / (ways + 1))
-                        .filter(|&c| c > lo && c < hi)
-                        .collect();
-                    probes.dedup();
-                    if probes.is_empty() {
-                        probes.push(lo + span / 2);
-                    }
-                    let specs: Vec<GroupSpec> = probes
-                        .iter()
-                        .map(|&c| candidate_spec(queries, best_full, c, lib))
-                        .collect();
-                    let preds = predict_batch(&specs, model, lib, &mut rounds);
-                    let mut new_lo = lo;
-                    let mut new_lo_pred = lo_pred;
-                    let mut new_hi = hi;
-                    for (&c, &p) in probes.iter().zip(&preds) {
-                        if p <= budget_ms {
-                            if c > new_lo {
-                                new_lo = c;
-                                new_lo_pred = p;
-                            }
-                        } else if c < new_hi {
-                            new_hi = c;
-                        }
-                    }
-                    if new_lo == lo && new_hi == hi {
-                        break;
-                    }
-                    lo = new_lo;
-                    lo_pred = new_lo_pred;
-                    hi = new_hi.max(lo + 1);
-                }
-                partial_ops = lo;
-                best_pred = lo_pred;
-            }
-
-            let mut entries: Vec<PlannedEntry> = queries[..=best_full]
-                .iter()
-                .map(|q| PlannedEntry {
-                    query_id: q.id,
-                    op_start: q.next_op,
-                    op_end: q.n_ops,
-                })
-                .collect();
-            if partial_ops > 0 {
-                let q = queries[best_full + 1];
-                entries.push(PlannedEntry {
-                    query_id: q.id,
-                    op_start: q.next_op,
-                    op_end: q.next_op + partial_ops,
-                });
-            }
-            SearchResult::Planned(PlannedGroup {
-                entries,
-                predicted_ms: best_pred,
-                prediction_rounds: rounds,
-                upper_ms: None,
-            })
-        }
-    }
-
-    #[test]
-    fn golden_matches_prerefactor_reference() {
-        let lib = lib();
-        let fixtures: Vec<Vec<Query>> = vec![
-            vec![query(0, ModelId::ResNet50, 30)],
-            vec![query(0, ModelId::ResNet50, 0)],
-            vec![query(0, ModelId::ResNet50, 100), query(1, ModelId::ResNet152, 0)],
-            vec![
-                query(0, ModelId::ResNet50, 0),
-                query(1, ModelId::Bert, 0),
-                query(2, ModelId::Vgg16, 0),
-            ],
-            vec![
-                query(0, ModelId::ResNet50, 0),
-                query(1, ModelId::ResNet101, 0),
-                query(2, ModelId::ResNet152, 0),
-                query(3, ModelId::Bert, 0),
-                query(4, ModelId::Vgg16, 0),
-            ],
-        ];
-        let budgets = [2.0, 5.0, 7.0, 25.0, 100.0];
-        for qs in &fixtures {
-            let refs: Vec<&Query> = qs.iter().collect();
-            for &budget in &budgets {
-                for ways in [1usize, 2, 3, 4, 8, 16] {
-                    for unit in [0.5, 10.0] {
-                        let model = SpanModel { ms_per_unit_span: unit };
-                        let got = plan_group(&refs, budget, &model, &lib, ways);
-                        let want = reference::plan_group(&refs, budget, &model, &lib, ways);
-                        assert_eq!(
-                            got, want,
-                            "divergence: {} queries, budget {budget}, ways {ways}, unit {unit}",
-                            refs.len()
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -731,7 +521,7 @@ mod tests {
             query(4, ModelId::Vgg16, 0),
         ];
         let refs: Vec<&Query> = qs.iter().collect();
-        let model = SpanModel { ms_per_unit_span: 0.001 }; // everything fits
+        let model = SpanModel::uniform(0.001); // everything fits
         match plan_group(&refs, 100.0, &model, &lib, 4) {
             SearchResult::Planned(p) => assert_eq!(p.entries.len(), MAX_COLOCATED),
             other => panic!("{other:?}"),

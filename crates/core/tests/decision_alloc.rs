@@ -16,8 +16,7 @@
 
 use abacus_core::{AbacusConfig, AbacusScheduler, Query, RoundDecision, Scheduler};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
-use predictor::features::SLOT_WIDTH;
-use predictor::{LatencyModel, MAX_COLOCATED, MODEL_SLOT_BASE};
+use reference::SpanModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -54,27 +53,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-struct SpanModel;
-
-impl LatencyModel for SpanModel {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        let mut total: f64 = 0.0;
-        for slot in 0..MAX_COLOCATED {
-            let base = MODEL_SLOT_BASE + slot * SLOT_WIDTH;
-            total += (x[base + 1] - x[base]) * 10.0;
-        }
-        total
-    }
-    fn name(&self) -> &'static str {
-        "span"
-    }
-}
-
 #[test]
 fn steady_state_decide_round_allocates_nothing() {
     let lib = Arc::new(ModelLibrary::new());
     let mut sched = AbacusScheduler::new(
-        Arc::new(SpanModel),
+        Arc::new(SpanModel::uniform(10.0)),
         lib.clone(),
         AbacusConfig {
             predict_round_ms: Some(0.09),

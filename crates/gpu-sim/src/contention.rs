@@ -116,7 +116,12 @@ pub fn co_run_slowdowns(set: &[RunningKernel], out: &mut Vec<f64>) {
 /// incrementally across events instead of re-summing the running set.
 /// Because shares are quantised (see [`RunningKernel::profile`]), an
 /// incrementally-maintained aggregate equals the re-summed one bit for bit.
-pub fn co_run_slowdowns_summed(u_c: f64, u_m: f64, set: &[RunningKernel], out: &mut Vec<f64>) {
+pub(crate) fn co_run_slowdowns_summed(
+    u_c: f64,
+    u_m: f64,
+    set: &[RunningKernel],
+    out: &mut Vec<f64>,
+) {
     out.clear();
     if set.is_empty() {
         return;

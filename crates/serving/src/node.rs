@@ -473,7 +473,7 @@ mod tests {
         AbacusConfig, AbacusScheduler, BaselinePolicy, BaselineScheduler, SegmentalExecutor,
     };
     use gpu_sim::{GpuSpec, NoiseModel};
-    use predictor::LatencyModel;
+    use reference::SpanModel;
     use std::sync::Arc;
     use workload::{merge_arrivals, PoissonProcess, SeededRng};
 
@@ -547,44 +547,15 @@ mod tests {
         assert_eq!(records.len(), wl.len());
     }
 
-    /// A cheap stand-in predictor: sequential sum of solo latencies
-    /// (pessimistic, so QoS always holds; exercises the full Abacus path).
-    struct SeqModel {
-        lib: Arc<ModelLibrary>,
-        gpu: GpuSpec,
-    }
-    impl LatencyModel for SeqModel {
-        fn predict_one(&self, x: &[f64]) -> f64 {
-            // Decode spans from the Fig. 8 layout; weight by each model's
-            // max-input solo latency as a crude per-op cost.
-            let mut total = 0.0;
-            let mut slot = 0;
-            for (idx, m) in ModelId::ALL.into_iter().enumerate() {
-                if x[idx] > 0.5 {
-                    let base = predictor::MODEL_SLOT_BASE + slot * 4;
-                    let span = x[base + 1] - x[base];
-                    let solo = self.lib.solo_ms(m, m.max_input(), &self.gpu);
-                    total += span * solo;
-                    slot += 1;
-                }
-            }
-            total
-        }
-        fn name(&self) -> &'static str {
-            "seq"
-        }
-    }
-
     #[test]
     fn abacus_node_runs_and_meets_qos_under_light_load() {
         let lib = lib();
         let gpu = GpuSpec::a100();
         let svcs = services(&[ModelId::ResNet50, ModelId::Bert], &lib, &gpu);
         let wl = mk_workload(&svcs, 10.0, 5_000.0, &lib, 4);
-        let model = Arc::new(SeqModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
+        // Span-weighted solo latencies: pessimistic, so QoS holds while
+        // the full Abacus path is exercised.
+        let model = Arc::new(SpanModel::solo_weighted(&lib, &gpu));
         let mut sched = AbacusScheduler::new(model, lib.clone(), AbacusConfig::default());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::calibrated(), lib.clone(), 5);
         let records = run_plain(&mut sched, &mut exec, &lib, &svcs, &wl);

@@ -8,12 +8,13 @@
 #     SLO burn, flight recorder) may cost at most 2% of an Abacus cell
 #   * cold-start offline training: minibatch trainer throughput and the
 #     serial/pooled weight-identity contract (BENCH_train.json)
-#   * the discrete-event engine core: events/sec vs the embedded
-#     pre-overhaul baseline engine, plus a bit-identity cross-check of the
-#     two engines' completions (BENCH_engine.json)
-#   * the decision hot path: decision rounds/sec vs the embedded
-#     pre-overhaul controller, plus a bit-identity cross-check of the two
-#     controllers' decision streams (BENCH_decision.json)
+#   * the discrete-event engine core: events/sec vs the pre-overhaul
+#     reference engine (crates/reference), plus a bit-identity cross-check
+#     of the two engines' completions (BENCH_engine.json)
+#   * the decision hot path: decision rounds/sec vs the pre-overhaul
+#     reference controller (crates/reference), plus a bit-identity
+#     cross-check of the two controllers' decision streams
+#     (BENCH_decision.json)
 #   * the cluster ingress hot path: routed queries/sec through the
 #     headroom router vs the embedded pre-overhaul round-robin cluster
 #     path, with a warmup-vs-timed checksum cross-check of each path and

@@ -18,17 +18,29 @@ cargo test -q
 echo "== fault suite (incl. ignored long-runners) =="
 cargo test -q -p integration --test fault_properties -- --include-ignored
 
+echo "== reference crate stays dev-only =="
+# crates/reference holds the one copy of each straight-line reference the
+# golden tests and the engine/decision benches compare against. Only
+# `bench` may take it as a normal dependency; every other user takes it as
+# a dev-dependency, so no production build links it.
+normal_users=$(cargo tree -q -e normal --workspace -i reference --prefix none | awk 'NR > 1 {print $1}' | sort -u)
+if [[ "$normal_users" != "bench" ]]; then
+    echo "reference is a normal dependency of: ${normal_users//$'\n'/ } (only bench may be)" >&2
+    exit 1
+fi
+
 echo "== engine golden + proptest bit-identity =="
 # The optimized event core (SoA + SIMD + calendar queue) must stay
-# bit-identical to the embedded straight-line reference engine, on the
-# pinned fixed-seed workloads and on randomized property workloads.
+# bit-identical to the reference engine (crates/reference), on the pinned
+# fixed-seed workloads and on randomized property workloads.
 cargo test -q -p gpu-sim --test golden_engine
 
 echo "== decision golden + proptest bit-identity =="
-# The decision hot path (incremental order index + arena scratch) must
-# stay bit-identical to the embedded pre-overhaul controller, on pinned
-# fixed-seed replays and grid-quantised random queues, and a steady-state
-# decide round must allocate nothing.
+# The decision hot path (buffered search + incremental order index + arena
+# scratch) must stay bit-identical to the reference search and controller
+# (crates/reference), on a fixture grid of searches, pinned fixed-seed
+# replays and grid-quantised random queues, and a steady-state decide
+# round must allocate nothing.
 cargo test -q -p abacus-core --test golden_decisions
 cargo test -q -p abacus-core --test decision_alloc --release
 

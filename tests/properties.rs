@@ -8,6 +8,7 @@ use predictor::{
     FEATURE_DIM,
 };
 use proptest::prelude::*;
+use reference::SpanModel;
 use std::sync::Arc;
 use std::sync::OnceLock;
 use workload::SeededRng;
@@ -162,18 +163,6 @@ proptest! {
     #[test]
     fn search_respects_budget(budget in 5.0f64..120.0, ways in 1usize..8) {
         let lib = library();
-        struct Span;
-        impl LatencyModel for Span {
-            fn predict_one(&self, x: &[f64]) -> f64 {
-                let mut t = 0.0;
-                for slot in 0..predictor::MAX_COLOCATED {
-                    let base = predictor::MODEL_SLOT_BASE + slot * 4;
-                    t += (x[base + 1] - x[base]) * 30.0;
-                }
-                t
-            }
-            fn name(&self) -> &'static str { "span" }
-        }
         let models = [ModelId::ResNet152, ModelId::InceptionV3, ModelId::Bert];
         let queries: Vec<abacus_core::Query> = models
             .iter()
@@ -184,7 +173,7 @@ proptest! {
             })
             .collect();
         let refs: Vec<&abacus_core::Query> = queries.iter().collect();
-        match abacus_core::plan_group(&refs, budget, &Span, lib, ways) {
+        match abacus_core::plan_group(&refs, budget, &SpanModel::uniform(30.0), lib, ways) {
             abacus_core::SearchResult::Planned(p) => {
                 prop_assert!(p.predicted_ms <= budget + 1e-9);
                 prop_assert_eq!(p.entries[0].query_id, 0);
