@@ -1,5 +1,5 @@
-//! Perf snapshot of cold-start offline training: the preserved scalar
-//! per-sample trainer (`Mlp::train_reference`) vs the vectorised minibatch
+//! Perf snapshot of cold-start offline training: the scalar per-sample
+//! reference trainer (`reference::trainer`) vs the vectorised minibatch
 //! trainer (`Mlp::train`) in its serial and worker-pool dispatch modes,
 //! plus the parallel dataset-collection front end. A second leg trains at
 //! the real campaign shape — every paper pair × 600 profiled groups × 80
@@ -27,6 +27,7 @@
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{all_pairs, Dataset, Mlp, MlpConfig};
+use reference::trainer;
 use serving::{collect_dataset, TrainerConfig};
 use std::io::Write as _;
 use std::time::Instant;
@@ -176,7 +177,7 @@ fn main() {
     let mut pooled = None;
     for _ in 0..reps {
         reference_ms = reference_ms.min(time_ms(1, || {
-            reference = Some(Mlp::train_reference(&data, &cfg(false)));
+            reference = Some(trainer::train(&data, &cfg(false)));
         }));
         serial_ms = serial_ms.min(time_ms(1, || {
             serial = Some(Mlp::train(&data, &cfg(true)));

@@ -65,7 +65,8 @@ impl MlpConfig {
     }
 }
 
-/// One dense layer with Adam state.
+/// One dense layer: weights and biases only (the optimiser state lives in
+/// [`train_layers`]).
 #[derive(Debug, Clone, PartialEq)]
 struct Dense {
     in_dim: usize,
@@ -73,11 +74,6 @@ struct Dense {
     /// Row-major `out_dim × in_dim`.
     w: Vec<f64>,
     b: Vec<f64>,
-    // Adam moments.
-    mw: Vec<f64>,
-    vw: Vec<f64>,
-    mb: Vec<f64>,
-    vb: Vec<f64>,
 }
 
 impl Dense {
@@ -90,10 +86,6 @@ impl Dense {
             out_dim,
             w,
             b: vec![0.0; out_dim],
-            mw: vec![0.0; in_dim * out_dim],
-            vw: vec![0.0; in_dim * out_dim],
-            mb: vec![0.0; out_dim],
-            vb: vec![0.0; out_dim],
         }
     }
 
@@ -113,6 +105,15 @@ impl Dense {
 /// The trained MLP duration model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
+    net: Net,
+}
+
+/// The network core [`Mlp`] and [`QuantileMlp`] share: the trained layers,
+/// the target standardisation and the inference plan derived from the
+/// layers. A trained model is exactly this (plus the quantile levels of
+/// the heads), so two models compare equal iff their parameters do.
+#[derive(Debug, Clone, PartialEq)]
+struct Net {
     layers: Vec<Dense>,
     /// Target standardisation.
     y_mean: f64,
@@ -141,18 +142,7 @@ struct InferencePlan {
 
 impl InferencePlan {
     fn build(layers: &[Dense]) -> Self {
-        let wt = layers
-            .iter()
-            .map(|l| {
-                let mut t = vec![0.0; l.w.len()];
-                for o in 0..l.out_dim {
-                    for i in 0..l.in_dim {
-                        t[i * l.out_dim + o] = l.w[o * l.in_dim + i];
-                    }
-                }
-                t
-            })
-            .collect();
+        let wt = transposed(layers);
         let max_width = layers
             .iter()
             .flat_map(|l| [l.in_dim, l.out_dim])
@@ -329,18 +319,15 @@ const EPS: f64 = 1e-8;
 /// 64-row minibatch four-way parallelism.
 const GRAD_CHUNK: usize = 16;
 
-/// Training-loss selector for the minibatch trainer. [`Loss::Mse`] and
-/// [`Loss::Pinball`] drive the width-1 output layer with exactly the
-/// arithmetic the pre-quantile-head trainer used (bit for bit — the golden
-/// trainer suite pins this); [`Loss::MultiPinball`] trains one output head
-/// per quantile, every head against the same standardised target, which is
-/// how the p90/p95/p99 certification heads share one trunk.
+/// Training-loss selector for the minibatch trainer. [`Loss::Mse`] drives
+/// the width-1 mean head; [`Loss::MultiPinball`] trains one output head per
+/// quantile, every head against the same standardised target, which is how
+/// the p90/p95/p99 certification heads share one trunk. A single-quantile
+/// [`Mlp`] (`MlpConfig::quantile`) is the one-head case.
 #[derive(Clone, Copy)]
 enum Loss<'a> {
     /// d(MSE)/d(out) on a single output.
     Mse,
-    /// Pinball sub-gradient at one quantile on a single output.
-    Pinball(f64),
     /// Per-head pinball sub-gradients: head `h` trains at `taus[h]`.
     MultiPinball(&'a [f64]),
 }
@@ -375,6 +362,14 @@ impl ChunkGrads {
             gb: layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
         }
     }
+}
+
+/// Each layer's weights transposed to `in_dim × out_dim`, the layout the
+/// batched forward kernel reads.
+fn transposed(layers: &[Dense]) -> Vec<Vec<f64>> {
+    let mut wt: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
+    refresh_transposed(layers, &mut wt);
+    wt
 }
 
 /// Refresh the transposed (`in_dim × out_dim`) weight copies the batched
@@ -780,14 +775,8 @@ fn chunk_forward_backward(
                 *d = 2.0 * (out - t);
             }
         }
-        // Pinball loss sub-gradient, scaled to keep the effective learning
-        // rate comparable to MSE.
-        Loss::Pinball(tau) => {
-            for (d, (&out, &t)) in dlast.iter_mut().zip(outs.iter().zip(targets)) {
-                *d = if out < t { -2.0 * tau } else { 2.0 * (1.0 - tau) };
-            }
-        }
-        // One pinball sub-gradient per head, all against the row's target.
+        // One pinball sub-gradient per head, all against the row's target,
+        // scaled to keep the effective learning rate comparable to MSE.
         Loss::MultiPinball(taus) => {
             for (r, &t) in targets.iter().enumerate() {
                 for (h, &tau) in taus.iter().enumerate() {
@@ -910,17 +899,11 @@ fn minibatch_grads(
 
 /// The shared minibatch training loop: initialise an
 /// `[in, hidden..., out_dim]` network and run `cfg.epochs` of chunked
-/// minibatch Adam under `loss`, returning the trained layers plus the
-/// target standardisation. [`Mlp::train`] calls this with `out_dim == 1`
-/// and [`QuantileMlp::train`] with one output head per quantile; for a
-/// fixed `(out_dim, loss)` the loop's arithmetic is untouched by the
-/// factoring, so the single-output golden pins still hold bit for bit.
-fn train_layers(
-    data: &Dataset,
-    cfg: &MlpConfig,
-    out_dim: usize,
-    loss: Loss<'_>,
-) -> (Vec<Dense>, f64, f64) {
+/// minibatch Adam under `loss`, returning the trained network.
+/// [`Mlp::train`] calls this with `out_dim == 1` and [`QuantileMlp::train`]
+/// with one output head per quantile. The Adam moments are local to the
+/// loop: a trained model carries only its parameters.
+fn train_layers(data: &Dataset, cfg: &MlpConfig, out_dim: usize, loss: Loss<'_>) -> Net {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     let mut rng = SeededRng::new(cfg.seed);
     let dims: Vec<usize> = std::iter::once(data.dim())
@@ -945,14 +928,16 @@ fn train_layers(
     // campaign shape on a 2-core host, pooled training measured slower
     // than serial, never faster.
     let serial = cfg.serial || rayon::pool::max_concurrency() <= 2;
-    let mut wt: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-    refresh_transposed(&layers, &mut wt);
+    let mut wt = transposed(&layers);
     let batch = cfg.batch_size.max(1);
     let chunk_states: Vec<std::sync::Mutex<ChunkGrads>> = (0..batch.div_ceil(GRAD_CHUNK))
         .map(|_| std::sync::Mutex::new(ChunkGrads::new(&layers)))
         .collect();
     let mut gw: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
     let mut gb: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+    // Adam first and second moments, shaped like the (zeroed) gradients.
+    let (mut mw, mut vw) = (gw.clone(), gw.clone());
+    let (mut mb, mut vb) = (gb.clone(), gb.clone());
     let mut xb: Vec<f64> = Vec::with_capacity(batch * in_dim);
     let mut tb: Vec<f64> = Vec::with_capacity(batch);
     let mut t_step = 0usize;
@@ -990,8 +975,8 @@ fn train_layers(
             for (l, layer) in layers.iter_mut().enumerate() {
                 simd.adam(
                     &mut layer.w,
-                    &mut layer.mw,
-                    &mut layer.vw,
+                    &mut mw[l],
+                    &mut vw[l],
                     &gw[l],
                     scale,
                     cfg.lr,
@@ -1000,8 +985,8 @@ fn train_layers(
                 );
                 simd.adam(
                     &mut layer.b,
-                    &mut layer.mb,
-                    &mut layer.vb,
+                    &mut mb[l],
+                    &mut vb[l],
                     &gb[l],
                     scale,
                     cfg.lr,
@@ -1012,67 +997,152 @@ fn train_layers(
             refresh_transposed(&layers, &mut wt);
         }
     }
-    (layers, y_mean, y_std)
+    Net::assemble(layers, y_mean, y_std)
 }
 
-/// Run the batched ping-pong forward pass through `layers`, leaving the
-/// output layer's rows packed at stride `out_dim` at the front of `ws.a`.
-/// Returns `false` when `n == 0` (nothing was forwarded). Shared by the
-/// single-output [`Mlp`] and the multi-head [`QuantileMlp`]; only the
-/// final extraction differs between the two.
-fn forward_rows_raw(
-    layers: &[Dense],
-    plan: &InferencePlan,
-    xs: &[f64],
-    n: usize,
-    ws: &mut Workspace,
-) -> bool {
-    let in_dim = layers[0].in_dim;
-    assert_eq!(
-        xs.len(),
-        n * in_dim,
-        "feature dimension mismatch — retrain the model (stale cache?)"
-    );
-    if n == 0 {
-        return false;
-    }
-    // Both ping-pong buffers stay sized to the widest layer: rows are
-    // packed at the current layer's stride inside them, and the bias
-    // initialisation below overwrites every cell that will be read, so
-    // no per-layer clear/zero-fill is needed.
-    let width = plan.max_width;
-    if ws.a.len() < n * width {
-        ws.a.resize(n * width, 0.0);
-        ws.b.resize(n * width, 0.0);
-    }
-    ws.a[..xs.len()].copy_from_slice(xs);
-    let n_layers = layers.len();
-    for (l, (layer, wt)) in layers.iter().zip(&plan.wt).enumerate() {
-        let (din, dout) = (layer.in_dim, layer.out_dim);
-        plan.simd.layer(&ws.a, &mut ws.b, wt, &layer.b, n, din);
-        if l + 1 < n_layers {
-            for v in ws.b[..n * dout].iter_mut() {
-                *v = v.max(0.0);
-            }
+impl Net {
+    /// Finalise a network from its layers: derives the inference plan
+    /// (transposed weight layout) that the batched forward pass uses.
+    fn assemble(layers: Vec<Dense>, y_mean: f64, y_std: f64) -> Net {
+        let plan = InferencePlan::build(&layers);
+        Net {
+            layers,
+            y_mean,
+            y_std,
+            plan,
         }
-        std::mem::swap(&mut ws.a, &mut ws.b);
     }
-    true
+
+    /// Rebuild a network from [`Net::dims`], [`Net::raw_params`] and the
+    /// target scaling, rejecting anything a trainer cannot produce: a
+    /// zero-width layer, a non-finite parameter or mean, or a `y_std` that
+    /// is non-finite or not positive (`Dataset::y_std` is floored at
+    /// 1e-9). A corrupt cache therefore fails to load instead of serving
+    /// NaN predictions.
+    fn from_raw(dims: &[usize], params: &[f64], y_mean: f64, y_std: f64) -> Result<Net, String> {
+        if dims.len() < 2 {
+            return Err("need at least input and output dims".into());
+        }
+        if dims.contains(&0) {
+            return Err("zero-width layer".into());
+        }
+        if !(y_mean.is_finite() && y_std.is_finite() && y_std > 0.0) {
+            return Err(format!("bad target scaling: mean {y_mean}, std {y_std}"));
+        }
+        // Checked, so absurd dims in a corrupt file are an error, not an
+        // overflow.
+        let expected = dims.windows(2).try_fold(0usize, |n, w| {
+            w[0].checked_mul(w[1])?.checked_add(w[1])?.checked_add(n)
+        });
+        if expected != Some(params.len()) {
+            return Err(format!(
+                "{} parameters do not fit dims {dims:?}",
+                params.len()
+            ));
+        }
+        if let Some(bad) = params.iter().find(|p| !p.is_finite()) {
+            return Err(format!("non-finite parameter {bad}"));
+        }
+        let mut layers = Vec::with_capacity(dims.len() - 1);
+        let mut off = 0;
+        for d in dims.windows(2) {
+            let (nw, nb) = (d[0] * d[1], d[1]);
+            layers.push(Dense {
+                in_dim: d[0],
+                out_dim: d[1],
+                w: params[off..off + nw].to_vec(),
+                b: params[off + nw..off + nw + nb].to_vec(),
+            });
+            off += nw + nb;
+        }
+        Ok(Net::assemble(layers, y_mean, y_std))
+    }
+
+    /// Layer widths `[in, hidden..., out]`.
+    fn dims(&self) -> Vec<usize> {
+        let mut dims: Vec<usize> = self.layers.iter().map(|l| l.in_dim).collect();
+        dims.extend(self.layers.last().map(|l| l.out_dim));
+        dims
+    }
+
+    /// Number of parameters (weights + biases).
+    fn param_count(&self) -> usize {
+        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
+    }
+
+    /// Every layer's weights then biases, in layer order.
+    fn raw_params(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.param_count());
+        for l in &self.layers {
+            out.extend_from_slice(&l.w);
+            out.extend_from_slice(&l.b);
+        }
+        out
+    }
+
+    /// The batched forward pass: `n` rows packed in `xs`, `n × out_dim`
+    /// de-standardised, non-negative predictions (row-major) appended to
+    /// `out`. Runs entirely in the provided workspace buffers — no
+    /// allocation once they are warm.
+    ///
+    /// Numerically identical to the per-sample path: for every output the
+    /// terms accumulate in ascending input order, exactly as
+    /// [`Dense::forward`] does, so batched and scalar predictions agree
+    /// bit for bit.
+    fn forward_into(&self, xs: &[f64], n: usize, ws: &mut Workspace, out: &mut Vec<f64>) {
+        let layers = &self.layers;
+        assert_eq!(
+            xs.len(),
+            n * layers[0].in_dim,
+            "feature dimension mismatch — retrain the model (stale cache?)"
+        );
+        if n == 0 {
+            return;
+        }
+        // Both ping-pong buffers stay sized to the widest layer: rows are
+        // packed at the current layer's stride inside them, and the bias
+        // initialisation below overwrites every cell that will be read, so
+        // no per-layer clear/zero-fill is needed.
+        let width = self.plan.max_width;
+        if ws.a.len() < n * width {
+            ws.a.resize(n * width, 0.0);
+            ws.b.resize(n * width, 0.0);
+        }
+        ws.a[..xs.len()].copy_from_slice(xs);
+        let n_layers = layers.len();
+        for (l, (layer, wt)) in layers.iter().zip(&self.plan.wt).enumerate() {
+            let (din, dout) = (layer.in_dim, layer.out_dim);
+            self.plan.simd.layer(&ws.a, &mut ws.b, wt, &layer.b, n, din);
+            if l + 1 < n_layers {
+                for v in ws.b[..n * dout].iter_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+            std::mem::swap(&mut ws.a, &mut ws.b);
+        }
+        // `a` now holds the output layer's rows packed at its width.
+        let out_dim = layers[n_layers - 1].out_dim;
+        out.extend(
+            ws.a[..n * out_dim]
+                .iter()
+                .map(|&z| (z * self.y_std + self.y_mean).max(0.0)),
+        );
+    }
 }
 
 impl Mlp {
     /// Train on `data` with the given config.
     ///
-    /// Minibatch matrix form of the original per-sample trainer (preserved
-    /// verbatim as [`Mlp::train_reference`]): each minibatch is packed into
-    /// a row matrix, forwarded through the inference engine's batched
-    /// SIMD-dispatched kernels, and back-propagated with batched gradient
-    /// kernels (register-resident fixed-width bodies for the paper's
-    /// widths). Gradients are computed per fixed [`GRAD_CHUNK`]-row chunk
-    /// (fanned out over the worker pool unless `cfg.serial` or the host
-    /// has at most two cores) and reduced in
-    /// chunk-index order, so the trained weights are bit-identical at any
-    /// thread count. RNG consumption (init + per-epoch shuffle) and the
+    /// Minibatch matrix form of the original per-sample trainer (kept as
+    /// the golden reference in the dev-only `reference::trainer`): each
+    /// minibatch is packed into a row matrix, forwarded through the
+    /// inference engine's batched SIMD-dispatched kernels, and
+    /// back-propagated with batched gradient kernels (register-resident
+    /// fixed-width bodies for the paper's widths). Gradients are computed
+    /// per fixed [`GRAD_CHUNK`]-row chunk (fanned out over the worker pool
+    /// unless `cfg.serial` or the host has at most two cores) and reduced
+    /// in chunk-index order, so the trained weights are bit-identical at
+    /// any thread count. RNG consumption (init + per-epoch shuffle) and the
     /// Adam update match the reference exactly; within a chunk every
     /// weight's gradient terms accumulate in the reference's sample-major
     /// order, so the only numeric difference from the reference is the
@@ -1082,179 +1152,34 @@ impl Mlp {
     /// # Panics
     /// Panics on an empty dataset.
     pub fn train(data: &Dataset, cfg: &MlpConfig) -> Mlp {
-        let loss = match cfg.quantile {
-            None => Loss::Mse,
-            Some(tau) => Loss::Pinball(tau),
+        let loss = match cfg.quantile.as_slice() {
+            [] => Loss::Mse,
+            tau => Loss::MultiPinball(tau),
         };
-        let (layers, y_mean, y_std) = train_layers(data, cfg, 1, loss);
-        Mlp::assemble(layers, y_mean, y_std)
-    }
-
-    /// The pre-refactor scalar trainer, preserved verbatim as the golden
-    /// reference for [`Mlp::train`]: one sample at a time, per-sample
-    /// forward/backward, gradients folded in sample order. The golden
-    /// trainer test and `train_bench` compare against it; it is not used
-    /// by production paths.
-    ///
-    /// # Panics
-    /// Panics on an empty dataset.
-    // Preserved verbatim (golden reference) — exempt from loop-style lints.
-    #[allow(clippy::needless_range_loop)]
-    pub fn train_reference(data: &Dataset, cfg: &MlpConfig) -> Mlp {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        let mut rng = SeededRng::new(cfg.seed);
-        let dims: Vec<usize> = std::iter::once(data.dim())
-            .chain(cfg.hidden.iter().copied())
-            .chain(std::iter::once(1))
-            .collect();
-        let mut layers: Vec<Dense> = dims
-            .windows(2)
-            .map(|w| Dense::new(w[0], w[1], &mut rng))
-            .collect();
-        let y_mean = data.y_mean();
-        let y_std = data.y_std();
-
-        let n = data.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        // Per-layer scratch: activations (post-ReLU inputs) and deltas.
-        let n_layers = layers.len();
-        let mut acts: Vec<Vec<f64>> = vec![Vec::new(); n_layers + 1];
-        let mut pre: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
-        let mut deltas: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
-        // Gradient accumulators per layer.
-        let mut gw: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-        let mut gb: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        let mut t_step = 0usize;
-
-        for _epoch in 0..cfg.epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(cfg.batch_size) {
-                for g in gw.iter_mut() {
-                    g.iter_mut().for_each(|v| *v = 0.0);
-                }
-                for g in gb.iter_mut() {
-                    g.iter_mut().for_each(|v| *v = 0.0);
-                }
-                for &i in chunk {
-                    let target = (data.y[i] - y_mean) / y_std;
-                    // Forward.
-                    acts[0].clear();
-                    acts[0].extend_from_slice(&data.x[i]);
-                    for (l, layer) in layers.iter().enumerate() {
-                        let (head, tail) = acts.split_at_mut(l + 1);
-                        layer.forward(&head[l], &mut pre[l]);
-                        tail[0].clear();
-                        if l + 1 < n_layers {
-                            tail[0].extend(pre[l].iter().map(|&v| v.max(0.0)));
-                        } else {
-                            tail[0].extend_from_slice(&pre[l]);
-                        }
-                    }
-                    let out = acts[n_layers][0];
-                    let dloss = match cfg.quantile {
-                        // d(MSE)/d(out).
-                        None => 2.0 * (out - target),
-                        // Pinball loss sub-gradient, scaled to keep the
-                        // effective learning rate comparable to MSE.
-                        Some(tau) => {
-                            if out < target {
-                                -2.0 * tau
-                            } else {
-                                2.0 * (1.0 - tau)
-                            }
-                        }
-                    };
-                    // Backward.
-                    deltas[n_layers - 1].clear();
-                    deltas[n_layers - 1].push(dloss);
-                    for l in (0..n_layers).rev() {
-                        // Accumulate gradients for layer l.
-                        let layer = &layers[l];
-                        for o in 0..layer.out_dim {
-                            let d = deltas[l][o];
-                            gb[l][o] += d;
-                            let grow = &mut gw[l][o * layer.in_dim..(o + 1) * layer.in_dim];
-                            for (gv, &a) in grow.iter_mut().zip(&acts[l]) {
-                                *gv += d * a;
-                            }
-                        }
-                        // Propagate to layer l-1.
-                        if l > 0 {
-                            let (lo, hi) = deltas.split_at_mut(l);
-                            let dl = &hi[0];
-                            let prev = &mut lo[l - 1];
-                            prev.clear();
-                            prev.resize(layer.in_dim, 0.0);
-                            for o in 0..layer.out_dim {
-                                let d = dl[o];
-                                let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                                for (p, &w) in prev.iter_mut().zip(row) {
-                                    *p += d * w;
-                                }
-                            }
-                            // ReLU derivative at the previous pre-activation.
-                            for (p, &z) in prev.iter_mut().zip(&pre[l - 1]) {
-                                if z <= 0.0 {
-                                    *p = 0.0;
-                                }
-                            }
-                        }
-                    }
-                }
-                // Adam update with batch-mean gradients.
-                t_step += 1;
-                let scale = 1.0 / chunk.len() as f64;
-                let bc1 = 1.0 - BETA1.powi(t_step as i32);
-                let bc2 = 1.0 - BETA2.powi(t_step as i32);
-                for (l, layer) in layers.iter_mut().enumerate() {
-                    for (j, g) in gw[l].iter().enumerate() {
-                        let g = g * scale;
-                        layer.mw[j] = BETA1 * layer.mw[j] + (1.0 - BETA1) * g;
-                        layer.vw[j] = BETA2 * layer.vw[j] + (1.0 - BETA2) * g * g;
-                        layer.w[j] -= cfg.lr * (layer.mw[j] / bc1) / ((layer.vw[j] / bc2).sqrt() + EPS);
-                    }
-                    for (j, g) in gb[l].iter().enumerate() {
-                        let g = g * scale;
-                        layer.mb[j] = BETA1 * layer.mb[j] + (1.0 - BETA1) * g;
-                        layer.vb[j] = BETA2 * layer.vb[j] + (1.0 - BETA2) * g * g;
-                        layer.b[j] -= cfg.lr * (layer.mb[j] / bc1) / ((layer.vb[j] / bc2).sqrt() + EPS);
-                    }
-                }
-            }
-        }
-        Mlp::assemble(layers, y_mean, y_std)
-    }
-
-    /// Finalise a model from trained layers: derives the inference plan
-    /// (transposed weight layout) that the batched forward pass uses.
-    fn assemble(layers: Vec<Dense>, y_mean: f64, y_std: f64) -> Mlp {
-        let plan = InferencePlan::build(&layers);
         Mlp {
-            layers,
-            y_mean,
-            y_std,
-            plan,
+            net: train_layers(data, cfg, 1, loss),
         }
     }
 
-    /// The batched forward pass: `n` rows packed in `xs`, predictions
-    /// appended to `out` (which the caller has cleared). Runs entirely in
-    /// the provided workspace buffers — no allocation once they are warm.
+    /// Rebuild a model from its [`dims`](Mlp::dims) (`[in, hidden..., 1]`),
+    /// [`raw_params`](Mlp::raw_params) and target scaling — the inverse of
+    /// those accessors, and what persistence and the reference trainer
+    /// build models through.
     ///
-    /// Numerically identical to the per-sample path: for every output the
-    /// terms accumulate in ascending input order, exactly as
-    /// [`Dense::forward`] does, so batched and scalar predictions agree
-    /// bit for bit.
-    fn forward_rows(&self, xs: &[f64], n: usize, ws: &mut Workspace, out: &mut Vec<f64>) {
-        if !forward_rows_raw(&self.layers, &self.plan, xs, n, ws) {
-            return;
+    /// # Errors
+    /// Rejects an output width other than 1, a parameter count that does
+    /// not match `dims`, a zero-width layer, a non-finite parameter or
+    /// `y_mean`, and a `y_std` that is non-finite or not positive.
+    pub fn from_raw(
+        dims: &[usize],
+        params: &[f64],
+        y_mean: f64,
+        y_std: f64,
+    ) -> Result<Mlp, String> {
+        if dims.last() != Some(&1) {
+            return Err("a mean model has a single output".into());
         }
-        // The output layer has width 1: `a` now holds one scalar per row.
-        out.extend(
-            ws.a[..n]
-                .iter()
-                .map(|&z| (z * self.y_std + self.y_mean).max(0.0)),
-        );
+        Net::from_raw(dims, params, y_mean, y_std).map(|net| Mlp { net })
     }
 
     /// The pre-batching scalar forward pass: one sample, fresh `Vec`s per
@@ -1263,15 +1188,16 @@ impl Mlp {
     /// allocation-independent oracle. Accumulates in the same order as the
     /// batched kernel, so both agree bit for bit.
     pub fn predict_one_scalar(&self, x: &[f64]) -> f64 {
+        let net = &self.net;
         assert_eq!(
             x.len(),
-            self.layers[0].in_dim,
+            net.layers[0].in_dim,
             "feature dimension mismatch — retrain the model (stale cache?)"
         );
         let mut cur = x.to_vec();
         let mut next = Vec::new();
-        let n_layers = self.layers.len();
-        for (l, layer) in self.layers.iter().enumerate() {
+        let n_layers = net.layers.len();
+        for (l, layer) in net.layers.iter().enumerate() {
             layer.forward(&cur, &mut next);
             if l + 1 < n_layers {
                 for v in next.iter_mut() {
@@ -1280,19 +1206,17 @@ impl Mlp {
             }
             std::mem::swap(&mut cur, &mut next);
         }
-        (cur[0] * self.y_std + self.y_mean).max(0.0)
+        (cur[0] * net.y_std + net.y_mean).max(0.0)
     }
 
     /// Layer widths `[in, hidden..., 1]` (for persistence and stats).
     pub fn dims(&self) -> Vec<usize> {
-        let mut dims: Vec<usize> = self.layers.iter().map(|l| l.in_dim).collect();
-        dims.push(1);
-        dims
+        self.net.dims()
     }
 
     /// Number of parameters (weights + biases).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
+        self.net.param_count()
     }
 
     /// In-memory model size in bytes (f64 parameters), the §7.8 footprint.
@@ -1301,50 +1225,14 @@ impl Mlp {
     }
 
     pub(crate) fn target_scaling(&self) -> (f64, f64) {
-        (self.y_mean, self.y_std)
-    }
-
-    pub(crate) fn from_raw(
-        dims: &[usize],
-        params: &[f64],
-        y_mean: f64,
-        y_std: f64,
-    ) -> Result<Mlp, String> {
-        if dims.len() < 2 {
-            return Err("need at least input and output dims".into());
-        }
-        let mut rng = SeededRng::new(0);
-        let mut layers = Vec::new();
-        let mut off = 0;
-        for w in dims.windows(2) {
-            let mut layer = Dense::new(w[0], w[1], &mut rng);
-            let nw = layer.w.len();
-            let nb = layer.b.len();
-            if off + nw + nb > params.len() {
-                return Err("parameter blob too short".into());
-            }
-            layer.w.copy_from_slice(&params[off..off + nw]);
-            off += nw;
-            layer.b.copy_from_slice(&params[off..off + nb]);
-            off += nb;
-            layers.push(layer);
-        }
-        if off != params.len() {
-            return Err("parameter blob too long".into());
-        }
-        Ok(Mlp::assemble(layers, y_mean, y_std))
+        (self.net.y_mean, self.net.y_std)
     }
 
     /// Flatten every layer's weights then biases, in layer order — the
     /// layout [`Mlp::from_raw`] accepts and the persistence format stores.
     /// Public so external tests can compare trained models parameter-wise.
     pub fn raw_params(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for l in &self.layers {
-            out.extend_from_slice(&l.w);
-            out.extend_from_slice(&l.b);
-        }
-        out
+        self.net.raw_params()
     }
 }
 
@@ -1354,7 +1242,7 @@ impl LatencyModel for Mlp {
             let ws = &mut *cell.borrow_mut();
             let mut single = std::mem::take(&mut ws.single);
             single.clear();
-            self.forward_rows(x, 1, ws, &mut single);
+            self.net.forward_into(x, 1, ws, &mut single);
             let y = single[0];
             ws.single = single;
             y
@@ -1365,7 +1253,7 @@ impl LatencyModel for Mlp {
         out.clear();
         WORKSPACE.with(|cell| {
             let ws = &mut *cell.borrow_mut();
-            self.forward_rows(xs, n, ws, out);
+            self.net.forward_into(xs, n, ws, out);
         });
     }
 
@@ -1378,7 +1266,7 @@ impl LatencyModel for Mlp {
                 packed.extend_from_slice(x);
             }
             let mut out = Vec::with_capacity(xs.len());
-            self.forward_rows(&packed, xs.len(), ws, &mut out);
+            self.net.forward_into(&packed, xs.len(), ws, &mut out);
             ws.packed = packed;
             out
         })
@@ -1397,24 +1285,23 @@ impl LatencyModel for Mlp {
 /// mean predictor plus two extra output dot products.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileMlp {
-    layers: Vec<Dense>,
-    /// Target standardisation (same convention as [`Mlp`]).
-    y_mean: f64,
-    y_std: f64,
+    net: Net,
     /// Quantile levels per head, strictly ascending in `(0, 1)`.
     taus: Vec<f64>,
-    plan: InferencePlan,
 }
 
-/// Validate a quantile-head configuration: non-empty, each level in
+/// Check a quantile-head configuration: non-empty, each level in
 /// `(0, 1)`, strictly ascending.
-fn check_taus(taus: &[f64]) {
-    assert!(!taus.is_empty(), "need at least one quantile head");
-    for pair in taus.windows(2) {
-        assert!(pair[0] < pair[1], "quantile levels must be strictly ascending");
+fn validate_taus(taus: &[f64]) -> Result<(), String> {
+    if taus.is_empty() {
+        return Err("need at least one quantile head".into());
     }
-    for &t in taus {
-        assert!(t > 0.0 && t < 1.0, "quantile level {t} outside (0, 1)");
+    if taus.windows(2).any(|p| p[0] >= p[1]) {
+        return Err("quantile levels must be strictly ascending".into());
+    }
+    match taus.iter().find(|&&t| !(t > 0.0 && t < 1.0)) {
+        Some(t) => Err(format!("quantile level {t} outside (0, 1)")),
+        None => Ok(()),
     }
 }
 
@@ -1428,148 +1315,39 @@ impl QuantileMlp {
     /// `cfg.quantile` is ignored: the heads' levels come from `taus`.
     ///
     /// # Panics
-    /// Panics on an empty dataset or an invalid `taus` (see [`check_taus`]).
+    /// Panics on an empty dataset or on `taus` that are empty, not
+    /// strictly ascending or outside `(0, 1)`.
     pub fn train(data: &Dataset, cfg: &MlpConfig, taus: &[f64]) -> QuantileMlp {
-        check_taus(taus);
-        let (layers, y_mean, y_std) =
-            train_layers(data, cfg, taus.len(), Loss::MultiPinball(taus));
-        QuantileMlp::assemble(layers, y_mean, y_std, taus.to_vec())
-    }
-
-    /// Scalar per-sample reference trainer for the quantile heads — the
-    /// multi-head analogue of [`Mlp::train_reference`], and the golden
-    /// oracle the quantile trainer tests compare [`QuantileMlp::train`]
-    /// against. Not used by production paths.
-    ///
-    /// # Panics
-    /// Panics on an empty dataset or an invalid `taus`.
-    #[allow(clippy::needless_range_loop)]
-    pub fn train_reference(data: &Dataset, cfg: &MlpConfig, taus: &[f64]) -> QuantileMlp {
-        check_taus(taus);
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        let n_heads = taus.len();
-        let mut rng = SeededRng::new(cfg.seed);
-        let dims: Vec<usize> = std::iter::once(data.dim())
-            .chain(cfg.hidden.iter().copied())
-            .chain(std::iter::once(n_heads))
-            .collect();
-        let mut layers: Vec<Dense> = dims
-            .windows(2)
-            .map(|w| Dense::new(w[0], w[1], &mut rng))
-            .collect();
-        let y_mean = data.y_mean();
-        let y_std = data.y_std();
-
-        let n = data.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        let n_layers = layers.len();
-        let mut acts: Vec<Vec<f64>> = vec![Vec::new(); n_layers + 1];
-        let mut pre: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
-        let mut deltas: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
-        let mut gw: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-        let mut gb: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        let mut t_step = 0usize;
-
-        for _epoch in 0..cfg.epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(cfg.batch_size) {
-                for g in gw.iter_mut() {
-                    g.iter_mut().for_each(|v| *v = 0.0);
-                }
-                for g in gb.iter_mut() {
-                    g.iter_mut().for_each(|v| *v = 0.0);
-                }
-                for &i in chunk {
-                    let target = (data.y[i] - y_mean) / y_std;
-                    // Forward.
-                    acts[0].clear();
-                    acts[0].extend_from_slice(&data.x[i]);
-                    for (l, layer) in layers.iter().enumerate() {
-                        let (head, tail) = acts.split_at_mut(l + 1);
-                        layer.forward(&head[l], &mut pre[l]);
-                        tail[0].clear();
-                        if l + 1 < n_layers {
-                            tail[0].extend(pre[l].iter().map(|&v| v.max(0.0)));
-                        } else {
-                            tail[0].extend_from_slice(&pre[l]);
-                        }
-                    }
-                    // Per-head pinball sub-gradients against the shared
-                    // target.
-                    deltas[n_layers - 1].clear();
-                    for (h, &tau) in taus.iter().enumerate() {
-                        let out = acts[n_layers][h];
-                        deltas[n_layers - 1].push(if out < target {
-                            -2.0 * tau
-                        } else {
-                            2.0 * (1.0 - tau)
-                        });
-                    }
-                    // Backward (identical to the single-output reference).
-                    for l in (0..n_layers).rev() {
-                        let layer = &layers[l];
-                        for o in 0..layer.out_dim {
-                            let d = deltas[l][o];
-                            gb[l][o] += d;
-                            let grow = &mut gw[l][o * layer.in_dim..(o + 1) * layer.in_dim];
-                            for (gv, &a) in grow.iter_mut().zip(&acts[l]) {
-                                *gv += d * a;
-                            }
-                        }
-                        if l > 0 {
-                            let (lo, hi) = deltas.split_at_mut(l);
-                            let dl = &hi[0];
-                            let prev = &mut lo[l - 1];
-                            prev.clear();
-                            prev.resize(layer.in_dim, 0.0);
-                            for o in 0..layer.out_dim {
-                                let d = dl[o];
-                                let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                                for (p, &w) in prev.iter_mut().zip(row) {
-                                    *p += d * w;
-                                }
-                            }
-                            for (p, &z) in prev.iter_mut().zip(&pre[l - 1]) {
-                                if z <= 0.0 {
-                                    *p = 0.0;
-                                }
-                            }
-                        }
-                    }
-                }
-                // Adam update with batch-mean gradients.
-                t_step += 1;
-                let scale = 1.0 / chunk.len() as f64;
-                let bc1 = 1.0 - BETA1.powi(t_step as i32);
-                let bc2 = 1.0 - BETA2.powi(t_step as i32);
-                for (l, layer) in layers.iter_mut().enumerate() {
-                    for (j, g) in gw[l].iter().enumerate() {
-                        let g = g * scale;
-                        layer.mw[j] = BETA1 * layer.mw[j] + (1.0 - BETA1) * g;
-                        layer.vw[j] = BETA2 * layer.vw[j] + (1.0 - BETA2) * g * g;
-                        layer.w[j] -= cfg.lr * (layer.mw[j] / bc1) / ((layer.vw[j] / bc2).sqrt() + EPS);
-                    }
-                    for (j, g) in gb[l].iter().enumerate() {
-                        let g = g * scale;
-                        layer.mb[j] = BETA1 * layer.mb[j] + (1.0 - BETA1) * g;
-                        layer.vb[j] = BETA2 * layer.vb[j] + (1.0 - BETA2) * g * g;
-                        layer.b[j] -= cfg.lr * (layer.mb[j] / bc1) / ((layer.vb[j] / bc2).sqrt() + EPS);
-                    }
-                }
-            }
+        if let Err(e) = validate_taus(taus) {
+            panic!("{e}");
         }
-        QuantileMlp::assemble(layers, y_mean, y_std, taus.to_vec())
-    }
-
-    fn assemble(layers: Vec<Dense>, y_mean: f64, y_std: f64, taus: Vec<f64>) -> QuantileMlp {
-        let plan = InferencePlan::build(&layers);
         QuantileMlp {
-            layers,
-            y_mean,
-            y_std,
-            taus,
-            plan,
+            net: train_layers(data, cfg, taus.len(), Loss::MultiPinball(taus)),
+            taus: taus.to_vec(),
         }
+    }
+
+    /// Rebuild quantile heads from their [`dims`](QuantileMlp::dims)
+    /// (`[in, hidden..., n_heads]`), [`raw_params`](QuantileMlp::raw_params),
+    /// target scaling and levels.
+    ///
+    /// # Errors
+    /// Everything [`Mlp::from_raw`] rejects except the output width, which
+    /// must instead equal `taus.len()`; plus levels that
+    /// [`QuantileMlp::train`] would panic on.
+    pub fn from_raw(
+        dims: &[usize],
+        params: &[f64],
+        y_mean: f64,
+        y_std: f64,
+        taus: Vec<f64>,
+    ) -> Result<QuantileMlp, String> {
+        validate_taus(&taus)?;
+        if dims.last() != Some(&taus.len()) {
+            return Err("output width does not match quantile head count".into());
+        }
+        let net = Net::from_raw(dims, params, y_mean, y_std)?;
+        Ok(QuantileMlp { net, taus })
     }
 
     /// The quantile levels, one per head, ascending.
@@ -1594,22 +1372,14 @@ impl QuantileMlp {
     /// clamped non-negative like the mean model's.
     pub fn predict_quantiles_into(&self, xs: &[f64], n: usize, out: &mut Vec<f64>) {
         out.clear();
-        WORKSPACE.with(|cell| {
-            let ws = &mut *cell.borrow_mut();
-            if !forward_rows_raw(&self.layers, &self.plan, xs, n, ws) {
-                return;
+        WORKSPACE.with(|cell| self.net.forward_into(xs, n, &mut cell.borrow_mut(), out));
+        for row in out.chunks_exact_mut(self.taus.len()) {
+            let mut hi = f64::NEG_INFINITY;
+            for q in row {
+                hi = hi.max(*q);
+                *q = hi;
             }
-            let h = self.taus.len();
-            out.reserve(n * h);
-            for row in ws.a[..n * h].chunks_exact(h) {
-                let mut hi = f64::NEG_INFINITY;
-                for &z in row {
-                    let q = (z * self.y_std + self.y_mean).max(0.0);
-                    hi = hi.max(q);
-                    out.push(hi);
-                }
-            }
-        });
+        }
     }
 
     /// All heads for one feature row (see [`predict_quantiles_into`]).
@@ -1623,70 +1393,22 @@ impl QuantileMlp {
 
     /// Layer widths `[in, hidden..., n_heads]` (for persistence).
     pub fn dims(&self) -> Vec<usize> {
-        let mut dims: Vec<usize> = self.layers.iter().map(|l| l.in_dim).collect();
-        dims.push(self.taus.len());
-        dims
+        self.net.dims()
     }
 
     /// Number of parameters (weights + biases).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
+        self.net.param_count()
     }
 
     pub(crate) fn target_scaling(&self) -> (f64, f64) {
-        (self.y_mean, self.y_std)
+        (self.net.y_mean, self.net.y_std)
     }
 
     /// Flatten every layer's weights then biases, in layer order — the
     /// layout [`QuantileMlp::from_raw`] accepts and persistence stores.
     pub fn raw_params(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for l in &self.layers {
-            out.extend_from_slice(&l.w);
-            out.extend_from_slice(&l.b);
-        }
-        out
-    }
-
-    pub(crate) fn from_raw(
-        dims: &[usize],
-        params: &[f64],
-        y_mean: f64,
-        y_std: f64,
-        taus: Vec<f64>,
-    ) -> Result<QuantileMlp, String> {
-        if dims.len() < 2 {
-            return Err("need at least input and output dims".into());
-        }
-        if *dims.last().unwrap() != taus.len() {
-            return Err("output width does not match quantile head count".into());
-        }
-        if taus.is_empty()
-            || taus.windows(2).any(|p| p[0] >= p[1])
-            || taus.iter().any(|&t| !(t > 0.0 && t < 1.0))
-        {
-            return Err("invalid quantile levels".into());
-        }
-        let mut rng = SeededRng::new(0);
-        let mut layers = Vec::new();
-        let mut off = 0;
-        for w in dims.windows(2) {
-            let mut layer = Dense::new(w[0], w[1], &mut rng);
-            let nw = layer.w.len();
-            let nb = layer.b.len();
-            if off + nw + nb > params.len() {
-                return Err("parameter blob too short".into());
-            }
-            layer.w.copy_from_slice(&params[off..off + nw]);
-            off += nw;
-            layer.b.copy_from_slice(&params[off..off + nb]);
-            off += nb;
-            layers.push(layer);
-        }
-        if off != params.len() {
-            return Err("parameter blob too long".into());
-        }
-        Ok(QuantileMlp::assemble(layers, y_mean, y_std, taus))
+        self.net.raw_params()
     }
 }
 
@@ -1694,88 +1416,7 @@ impl QuantileMlp {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// Per-sample scalar gradient reference mirroring the inner loop of
-    /// [`Mlp::train_reference`]: fold every sample's forward/backward into
-    /// the accumulators in sample order.
-    #[allow(clippy::needless_range_loop)]
-    fn scalar_grads(
-        layers: &[Dense],
-        xs: &[f64],
-        targets: &[f64],
-        in_dim: usize,
-        loss: Loss<'_>,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let n_layers = layers.len();
-        let mut acts: Vec<Vec<f64>> = vec![Vec::new(); n_layers + 1];
-        let mut pre: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
-        let mut deltas: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
-        let mut gw: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-        let mut gb: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        for (r, &target) in targets.iter().enumerate() {
-            acts[0].clear();
-            acts[0].extend_from_slice(&xs[r * in_dim..(r + 1) * in_dim]);
-            for (l, layer) in layers.iter().enumerate() {
-                let (head, tail) = acts.split_at_mut(l + 1);
-                layer.forward(&head[l], &mut pre[l]);
-                tail[0].clear();
-                if l + 1 < n_layers {
-                    tail[0].extend(pre[l].iter().map(|&v| v.max(0.0)));
-                } else {
-                    tail[0].extend_from_slice(&pre[l]);
-                }
-            }
-            deltas[n_layers - 1].clear();
-            match loss {
-                Loss::Mse => deltas[n_layers - 1].push(2.0 * (acts[n_layers][0] - target)),
-                Loss::Pinball(tau) => deltas[n_layers - 1].push(if acts[n_layers][0] < target {
-                    -2.0 * tau
-                } else {
-                    2.0 * (1.0 - tau)
-                }),
-                Loss::MultiPinball(taus) => {
-                    for (h, &tau) in taus.iter().enumerate() {
-                        deltas[n_layers - 1].push(if acts[n_layers][h] < target {
-                            -2.0 * tau
-                        } else {
-                            2.0 * (1.0 - tau)
-                        });
-                    }
-                }
-            }
-            for l in (0..n_layers).rev() {
-                let layer = &layers[l];
-                for o in 0..layer.out_dim {
-                    let d = deltas[l][o];
-                    gb[l][o] += d;
-                    let grow = &mut gw[l][o * layer.in_dim..(o + 1) * layer.in_dim];
-                    for (gv, &a) in grow.iter_mut().zip(&acts[l]) {
-                        *gv += d * a;
-                    }
-                }
-                if l > 0 {
-                    let (lo, hi) = deltas.split_at_mut(l);
-                    let dl = &hi[0];
-                    let prev = &mut lo[l - 1];
-                    prev.clear();
-                    prev.resize(layer.in_dim, 0.0);
-                    for o in 0..layer.out_dim {
-                        let d = dl[o];
-                        let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                        for (p, &w) in prev.iter_mut().zip(row) {
-                            *p += d * w;
-                        }
-                    }
-                    for (p, &z) in prev.iter_mut().zip(&pre[l - 1]) {
-                        if z <= 0.0 {
-                            *p = 0.0;
-                        }
-                    }
-                }
-            }
-        }
-        (gw, gb)
-    }
+    use reference::trainer;
 
     fn run_minibatch(
         layers: &[Dense],
@@ -1785,8 +1426,7 @@ mod tests {
         loss: Loss<'_>,
         serial: bool,
     ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut wt: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-        refresh_transposed(layers, &mut wt);
+        let wt = transposed(layers);
         let states: Vec<std::sync::Mutex<ChunkGrads>> = (0..targets.len().div_ceil(GRAD_CHUNK))
             .map(|_| std::sync::Mutex::new(ChunkGrads::new(layers)))
             .collect();
@@ -1812,10 +1452,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The batched chunked gradient pipeline agrees with the scalar
-        /// per-sample reference to 1e-9 across random layer shapes, batch
-        /// sizes and all three losses (MSE, single pinball, multi-head
-        /// pinball) — and its serial and pooled dispatch paths agree with
-        /// each other bit for bit.
+        /// per-sample reference (`reference::trainer::scalar_grads`) to
+        /// 1e-9 across random layer shapes, batch sizes and all three loss
+        /// shapes (MSE, single pinball, multi-head pinball) — and its
+        /// serial and pooled dispatch paths agree with each other bit for
+        /// bit.
         #[test]
         fn minibatch_grads_match_scalar_reference(
             seed in 0u64..1024,
@@ -1826,15 +1467,17 @@ mod tests {
             tau in 0.05f64..0.95,
             n_heads in 1usize..5,
         ) {
-            let taus: Vec<f64> = (1..=n_heads)
-                .map(|h| 0.5 + 0.45 * h as f64 / n_heads as f64)
-                .collect();
-            let loss = match mode {
-                0 => Loss::Mse,
-                1 => Loss::Pinball(tau),
-                _ => Loss::MultiPinball(&taus),
+            let taus: Vec<f64> = match mode {
+                0 => Vec::new(),
+                1 => vec![tau],
+                _ => (1..=n_heads).map(|h| 0.5 + 0.45 * h as f64 / n_heads as f64).collect(),
             };
-            let out_dim = if mode == 2 { taus.len() } else { 1 };
+            let (loss, ref_loss) = if taus.is_empty() {
+                (Loss::Mse, trainer::Loss::Mse)
+            } else {
+                (Loss::MultiPinball(&taus), trainer::Loss::MultiPinball(&taus))
+            };
+            let out_dim = taus.len().max(1);
             let mut rng = SeededRng::new(seed);
             let dims: Vec<usize> = std::iter::once(in_dim)
                 .chain(hidden)
@@ -1851,7 +1494,9 @@ mod tests {
                 .collect();
             let targets: Vec<f64> = (0..rows).map(|_| 2.0 * rng.f64() - 1.0).collect();
 
-            let (sgw, sgb) = scalar_grads(&layers, &xs, &targets, in_dim, loss);
+            let w: Vec<Vec<f64>> = layers.iter().map(|l| l.w.clone()).collect();
+            let b: Vec<Vec<f64>> = layers.iter().map(|l| l.b.clone()).collect();
+            let (sgw, sgb) = trainer::scalar_grads(&w, &b, &xs, &targets, ref_loss);
             let (gw_ser, gb_ser) = run_minibatch(&layers, &xs, &targets, in_dim, loss, true);
             let (gw_par, gb_par) = run_minibatch(&layers, &xs, &targets, in_dim, loss, false);
 
@@ -2138,19 +1783,11 @@ mod tests {
             },
             &[0.9, 0.95],
         );
-        let rebuilt = QuantileMlp::from_raw(
-            &q.dims(),
-            &q.raw_params(),
-            q.y_mean,
-            q.y_std,
-            q.taus().to_vec(),
-        )
-        .unwrap();
-        for i in 0..10 {
-            let x = [i as f64 / 10.0];
-            assert_eq!(q.predict_quantiles_one(&x), rebuilt.predict_quantiles_one(&x));
-        }
-        assert_eq!(q.dims(), rebuilt.dims());
+        let (y_mean, y_std) = q.target_scaling();
+        let rebuilt =
+            QuantileMlp::from_raw(&q.dims(), &q.raw_params(), y_mean, y_std, q.taus().to_vec())
+                .unwrap();
+        assert_eq!(q, rebuilt);
         // A head-count mismatch is an error, not a panic.
         assert!(QuantileMlp::from_raw(&q.dims(), &q.raw_params(), 0.0, 1.0, vec![0.9]).is_err());
     }
@@ -2166,13 +1803,11 @@ mod tests {
     fn raw_roundtrip() {
         let d = synthetic(100, 6);
         let mlp = Mlp::train(&d, &MlpConfig { epochs: 3, ..MlpConfig::default() });
-        let rebuilt =
-            Mlp::from_raw(&mlp.dims(), &mlp.raw_params(), mlp.y_mean, mlp.y_std).unwrap();
-        // Adam moments are not persisted, so compare behaviour, not state.
-        for i in 0..10 {
-            let x = [i as f64 / 10.0, 1.0 - i as f64 / 10.0];
-            assert_eq!(mlp.predict_one(&x), rebuilt.predict_one(&x));
-        }
-        assert_eq!(mlp.dims(), rebuilt.dims());
+        let (y_mean, y_std) = mlp.target_scaling();
+        let rebuilt = Mlp::from_raw(&mlp.dims(), &mlp.raw_params(), y_mean, y_std).unwrap();
+        // A model is only its parameters, so the rebuild is the model.
+        assert_eq!(mlp, rebuilt);
+        // A multi-output blob is not a mean model.
+        assert!(Mlp::from_raw(&[2, 2], &[0.0; 6], y_mean, y_std).is_err());
     }
 }

@@ -1,6 +1,7 @@
-//! Golden pin for the minibatch matrix-form trainer: [`Mlp::train`] must
-//! reproduce the preserved pre-refactor scalar trainer
-//! ([`Mlp::train_reference`]).
+//! Golden pin for the minibatch matrix-form trainer: [`Mlp::train`] and
+//! [`QuantileMlp::train`] must reproduce the pre-refactor scalar trainer
+//! ([`reference::trainer`]), which is itself pinned to digests of its
+//! weights so the two sides cannot drift together.
 //!
 //! Two regimes, per DESIGN.md's training-determinism rules:
 //!
@@ -24,6 +25,7 @@ use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{
     profile_groups, sample_groups, Dataset, LatencyModel, Mlp, MlpConfig, QuantileMlp, FEATURE_DIM,
 };
+use reference::trainer;
 use workload::SeededRng;
 
 const TAUS: [f64; 3] = [0.9, 0.95, 0.99];
@@ -62,6 +64,47 @@ fn profiled(per_set: usize) -> Dataset {
     d
 }
 
+/// FNV-1a over the bit pattern of every parameter, in `raw_params` order.
+fn param_digest(params: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for p in params {
+        for b in p.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The reference trainer's weights on fixed configs, as digests of the
+/// scalar trainer that shipped alongside the minibatch trainer before it
+/// moved to `crates/reference`. The other tests here only say production
+/// and reference agree; this says the reference has not moved.
+#[test]
+fn reference_trainer_matches_pinned_digests() {
+    let d = synthetic(300, 11);
+    let cfg = |quantile| MlpConfig {
+        epochs: 8,
+        batch_size: 16,
+        quantile,
+        ..MlpConfig::default()
+    };
+    let pins = [
+        (None, 0xc328_81c8_1d29_407a_u64),
+        (Some(0.9), 0x5b2b_4f62_d34b_f080),
+    ];
+    for (quantile, pin) in pins {
+        let m = trainer::train(&d, &cfg(quantile));
+        assert_eq!(param_digest(&m.raw_params()), pin, "quantile {quantile:?}");
+    }
+    let q = trainer::train_quantile(&d, &cfg(None), &TAUS);
+    assert_eq!(
+        param_digest(&q.raw_params()),
+        0xe1f0_d020_3dba_c4d4,
+        "taus {TAUS:?}"
+    );
+}
+
 #[test]
 fn profiled_rows_match_reference_bit_for_bit() {
     let d = profiled(60);
@@ -79,7 +122,7 @@ fn profiled_rows_match_reference_bit_for_bit() {
         };
         assert_eq!(
             Mlp::train(&d, &cfg),
-            Mlp::train_reference(&d, &cfg),
+            trainer::train(&d, &cfg),
             "quantile {quantile:?}"
         );
     }
@@ -90,7 +133,7 @@ fn profiled_rows_match_reference_bit_for_bit() {
     };
     assert_eq!(
         QuantileMlp::train(&d, &cfg, &TAUS),
-        QuantileMlp::train_reference(&d, &cfg, &TAUS)
+        trainer::train_quantile(&d, &cfg, &TAUS)
     );
 }
 
@@ -111,7 +154,7 @@ fn non_paper_widths_match_reference_bit_for_bit() {
             };
             assert_eq!(
                 Mlp::train(&d, &cfg),
-                Mlp::train_reference(&d, &cfg),
+                trainer::train(&d, &cfg),
                 "hidden {hidden:?} quantile {quantile:?}"
             );
         }
@@ -129,7 +172,7 @@ fn single_chunk_minibatches_match_reference_bit_for_bit() {
             ..MlpConfig::default()
         };
         let new = Mlp::train(&d, &cfg);
-        let old = Mlp::train_reference(&d, &cfg);
+        let old = trainer::train(&d, &cfg);
         assert_eq!(new, old, "quantile {quantile:?}");
     }
 }
@@ -143,7 +186,7 @@ fn multi_chunk_minibatches_match_reference_within_tolerance() {
         ..MlpConfig::default()
     };
     let new = Mlp::train(&d, &cfg);
-    let old = Mlp::train_reference(&d, &cfg);
+    let old = trainer::train(&d, &cfg);
     assert_eq!(new.dims(), old.dims());
     let (pn, po) = (new.raw_params(), old.raw_params());
     for (j, (a, b)) in pn.iter().zip(&po).enumerate() {
@@ -172,7 +215,7 @@ fn quantile_single_chunk_minibatches_match_reference_bit_for_bit() {
                 ..MlpConfig::default()
             };
             let new = QuantileMlp::train(&d, &cfg, taus);
-            let old = QuantileMlp::train_reference(&d, &cfg, taus);
+            let old = trainer::train_quantile(&d, &cfg, taus);
             assert_eq!(new, old, "taus {taus:?} batch {batch_size}");
         }
     }
@@ -187,7 +230,7 @@ fn quantile_multi_chunk_minibatches_match_reference_within_tolerance() {
         ..MlpConfig::default()
     };
     let new = QuantileMlp::train(&d, &cfg, &TAUS);
-    let old = QuantileMlp::train_reference(&d, &cfg, &TAUS);
+    let old = trainer::train_quantile(&d, &cfg, &TAUS);
     assert_eq!(new.dims(), old.dims());
     let (pn, po) = (new.raw_params(), old.raw_params());
     for (j, (a, b)) in pn.iter().zip(&po).enumerate() {

@@ -2,15 +2,17 @@
 //!
 //! Every optimized hot path in the workspace is pinned, bit for bit, to a
 //! pre-overhaul reference: the golden tests assert identical outputs and
-//! the `engine_bench`/`decision_bench` baselines time the same code. This
-//! crate holds the single copy of each reference, so a test and a bench
-//! can never drift apart:
+//! the `engine_bench`/`decision_bench`/`train_bench` baselines time the
+//! same code. This crate holds the single copy of each reference, so a
+//! test and a bench can never drift apart:
 //!
 //! * [`engine::BaselineEngine`] — the discrete-event core before the
 //!   calendar queue, SoA/SIMD loop and incremental `U_c`/`U_m` aggregates;
 //! * [`decision::plan_group`] and [`decision::BaselineController`] — the
 //!   multi-way search and the headroom controller before the order index,
 //!   arena scratch and template-patched probe encoding;
+//! * [`trainer`] — the scalar per-sample MLP trainer and gradient oracle
+//!   before the minibatch matrix trainer and its batched kernels;
 //! * [`SpanModel`] — the constant-time synthetic predictor the search,
 //!   scheduler, serving and cluster fixtures share;
 //! * [`Lcg`] — the fixture random stream every generator above draws from.
@@ -20,6 +22,7 @@
 
 pub mod decision;
 pub mod engine;
+pub mod trainer;
 
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::GpuSpec;

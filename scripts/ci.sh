@@ -52,15 +52,19 @@ echo "== routing golden + determinism contracts =="
 cargo test -q -p cluster --test routing_golden
 
 echo "== certification suites (quantile golden, conformal coverage, byte-identity) =="
-# The uncertainty-aware certification stack: the multi-head pinball
-# trainer must match its scalar reference (bit-for-bit in the single-chunk
-# regime, 1e-9 otherwise), split-conformal calibration must hit its
-# coverage band on held-out data, and a run that merely *carries* a
-# certifier with the `conformal` flag off must stay byte-identical to the
-# pre-certification serving path. The trainer's register-resident
-# fixed-width kernels must match the generic (zero-skipping) kernels bit
-# for bit on every partial chunk and every SIMD tier the host has.
+# The uncertainty-aware certification stack: the mean and multi-head
+# pinball trainers must match the scalar reference trainer
+# (crates/reference; bit-for-bit in the single-chunk regime, 1e-9
+# otherwise), that reference must match its pinned weight digests, and the
+# batched gradient kernels must match its per-sample gradients.
+# Split-conformal calibration must hit its coverage band on held-out data,
+# and a run that merely *carries* a certifier with the `conformal` flag off
+# must stay byte-identical to the pre-certification serving path. The
+# trainer's register-resident fixed-width kernels must match the generic
+# (zero-skipping) kernels bit for bit on every partial chunk and every
+# SIMD tier the host has.
 cargo test -q -p predictor --test golden_trainer
+cargo test -q -p predictor --lib minibatch_grads_match_scalar_reference
 cargo test -q -p predictor --lib fixed_width_kernels_match_generic_bit_for_bit
 cargo test -q -p predictor --lib conformal
 cargo test -q -p abacus-core --lib conformal
