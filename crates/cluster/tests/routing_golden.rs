@@ -15,8 +15,11 @@
 //! * One batched forward per scored arrival — N-candidate scoring must
 //!   issue a single `predict_into` over N rows, never N scalar calls.
 //! * Telemetry on/off byte identity: counters observe, they never steer.
+//! * Pinned record digests of two fixed-seed routed runs (one autoscaled),
+//!   so a change to the per-GPU serving loop that moves any record shows.
 
 use abacus_core::Query;
+use abacus_metrics::{QueryOutcome, QueryRecord};
 use cluster::{
     run_routed_cluster, write_records_csv, HeadroomRouter, NodeHead, PredictiveAutoscaler,
     RouteOutcome, RoutedClusterConfig,
@@ -412,4 +415,48 @@ fn telemetry_enabled_run_is_byte_identical_to_disabled() {
         with_tel.router.routed,
         "telemetry and stats disagree"
     );
+}
+
+/// FNV-1a over each record's service, arrival, latency, queue time and
+/// outcome — the fields every routed-cluster summary is computed from.
+fn record_digest(records: &[QueryRecord]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for r in records {
+        let outcome = match r.outcome {
+            QueryOutcome::Completed => 1u64,
+            QueryOutcome::Dropped => 2,
+            QueryOutcome::TimedOut => 3,
+        };
+        let fields = [
+            r.service as u64,
+            r.arrival_ms.to_bits(),
+            r.latency_ms.to_bits(),
+            r.queue_ms.to_bits(),
+            outcome,
+        ];
+        for b in fields.iter().flat_map(|v| v.to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The routed run's records, pinned: the paper fleet at two seeds, the
+/// second with the predictive autoscaler parking GPUs.
+#[test]
+fn routed_cluster_record_digests_are_pinned() {
+    let lib = Arc::new(ModelLibrary::new());
+    let noise = NoiseModel::calibrated();
+    for (seed, autoscale, want) in [
+        (2021, false, 0xc5fe_e14f_3d17_6f99u64),
+        (7, true, 0x6adf_516e_4630_d645),
+    ] {
+        let mut cfg = small_cfg(true, autoscale);
+        cfg.seed = seed;
+        let model: Arc<dyn LatencyModel> = Arc::new(SpreadModel);
+        let out = run_routed_cluster(&cfg, &lib, &noise, model, None, None);
+        let got = record_digest(&out.records);
+        assert_eq!(got, want, "seed {seed}, autoscale {autoscale}: digest moved");
+    }
 }

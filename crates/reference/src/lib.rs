@@ -2,9 +2,9 @@
 //!
 //! Every optimized hot path in the workspace is pinned, bit for bit, to a
 //! pre-overhaul reference: the golden tests assert identical outputs and
-//! the `engine_bench`/`decision_bench`/`train_bench` baselines time the
-//! same code. This crate holds the single copy of each reference, so a
-//! test and a bench can never drift apart:
+//! the `engine_bench`/`decision_bench`/`train_bench`/`cluster_bench`
+//! baselines time the same code. This crate holds the single copy of each
+//! reference, so a test and a bench can never drift apart:
 //!
 //! * [`engine::BaselineEngine`] — the discrete-event core before the
 //!   calendar queue, SoA/SIMD loop and incremental `U_c`/`U_m` aggregates;
@@ -13,6 +13,9 @@
 //!   arena scratch and template-patched probe encoding;
 //! * [`trainer`] — the scalar per-sample MLP trainer and gradient oracle
 //!   before the minibatch matrix trainer and its batched kernels;
+//! * [`cluster::run`] — the K8s cluster path (round-robin nodes,
+//!   least-connections GPUs, a per-GPU loop with allocating `decide` and
+//!   no admit/retire hooks) before the per-GPU serving loops were merged;
 //! * [`SpanModel`] — the constant-time synthetic predictor the search,
 //!   scheduler, serving and cluster fixtures share;
 //! * [`Lcg`] — the fixture random stream every generator above draws from.
@@ -20,6 +23,7 @@
 //! The crate is verification-only (`publish = false`): the `bench` crate
 //! takes it as a normal dependency, every other user as a dev-dependency.
 
+pub mod cluster;
 pub mod decision;
 pub mod engine;
 pub mod trainer;
