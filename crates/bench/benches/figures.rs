@@ -75,10 +75,13 @@ fn fig10(c: &mut Criterion, fx: &Fixture) {
     c.bench_function("fig10_predictors", |b| {
         b.iter(|| {
             let lr = predictor::LinearRegression::fit(black_box(&data), 1e-3);
-            let svr = predictor::LinearSvr::fit(&data, &predictor::SvrConfig {
-                epochs: 10,
-                ..predictor::SvrConfig::default()
-            });
+            let svr = predictor::LinearSvr::fit(
+                &data,
+                &predictor::SvrConfig {
+                    epochs: 10,
+                    ..predictor::SvrConfig::default()
+                },
+            );
             let mlp = predictor::Mlp::train(
                 &data,
                 &predictor::MlpConfig {

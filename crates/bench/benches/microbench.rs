@@ -12,9 +12,7 @@ use std::hint::black_box;
 
 fn bench_engine(c: &mut Criterion) {
     let fx = Fixture::new();
-    let streams: Vec<Vec<gpu_sim::KernelDesc>> = fx
-        .sample_group(173)
-        .streams(&fx.lib);
+    let streams: Vec<Vec<gpu_sim::KernelDesc>> = fx.sample_group(173).streams(&fx.lib);
     c.bench_function("engine/run_group_res152_bert", |b| {
         b.iter(|| {
             black_box(run_group(
@@ -25,15 +23,34 @@ fn bench_engine(c: &mut Criterion) {
             ))
         })
     });
-    let solo = vec![fx.lib.graph(dnn_models::ModelId::ResNet50, dnn_models::ModelId::ResNet50.max_input()).kernels()];
+    let solo = vec![fx
+        .lib
+        .graph(
+            dnn_models::ModelId::ResNet50,
+            dnn_models::ModelId::ResNet50.max_input(),
+        )
+        .kernels()];
     c.bench_function("engine/run_solo_res50", |b| {
-        b.iter(|| black_box(run_group(&fx.gpu, &NoiseModel::disabled(), 0, black_box(&solo))))
+        b.iter(|| {
+            black_box(run_group(
+                &fx.gpu,
+                &NoiseModel::disabled(),
+                0,
+                black_box(&solo),
+            ))
+        })
     });
 }
 
 fn bench_contention(c: &mut Criterion) {
     let fx = Fixture::new();
-    let kernels = fx.lib.graph(dnn_models::ModelId::ResNet152, dnn_models::ModelId::ResNet152.max_input()).kernels();
+    let kernels = fx
+        .lib
+        .graph(
+            dnn_models::ModelId::ResNet152,
+            dnn_models::ModelId::ResNet152.max_input(),
+        )
+        .kernels();
     let profiles: Vec<gpu_sim::RunningKernel> = kernels
         .iter()
         .take(8)
@@ -78,17 +95,22 @@ fn bench_predictor_inference(c: &mut Criterion) {
 
 fn bench_search(c: &mut Criterion) {
     let fx = Fixture::new();
-    let queries: Vec<abacus_core::Query> = [
-        dnn_models::ModelId::ResNet152,
-        dnn_models::ModelId::Bert,
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, &m)| {
-        let input = m.max_input();
-        abacus_core::Query::new(i as u64, m, input, 0.0, 100.0, fx.lib.graph(m, input).len())
-    })
-    .collect();
+    let queries: Vec<abacus_core::Query> =
+        [dnn_models::ModelId::ResNet152, dnn_models::ModelId::Bert]
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| {
+                let input = m.max_input();
+                abacus_core::Query::new(
+                    i as u64,
+                    m,
+                    input,
+                    0.0,
+                    100.0,
+                    fx.lib.graph(m, input).len(),
+                )
+            })
+            .collect();
     let refs: Vec<&abacus_core::Query> = queries.iter().collect();
     let model = fx.model();
     c.bench_function("search/plan_group_4way", |b| {

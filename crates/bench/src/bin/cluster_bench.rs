@@ -72,11 +72,14 @@ fn fold_records(records: &[QueryRecord]) -> u64 {
         h = mix(h, r.service as u64);
         h = mix(h, r.arrival_ms.to_bits());
         h = mix(h, r.latency_ms.to_bits());
-        h = mix(h, match r.outcome {
-            QueryOutcome::Completed => 1,
-            QueryOutcome::Dropped => 2,
-            QueryOutcome::TimedOut => 3,
-        });
+        h = mix(
+            h,
+            match r.outcome {
+                QueryOutcome::Completed => 1,
+                QueryOutcome::Dropped => 2,
+                QueryOutcome::TimedOut => 3,
+            },
+        );
         h = mix(h, u64::from(r.requests));
         h = mix(h, r.queue_ms.to_bits());
     }
@@ -278,8 +281,12 @@ fn main() {
         routed_warm.checksum, routed.checksum,
         "routed cluster run is nondeterministic"
     );
-    let base_warm = run_baseline(&base_cfg, &lib, &reference, &noise, &span, &arrivals, &inputs);
-    let base = run_baseline(&base_cfg, &lib, &reference, &noise, &span, &arrivals, &inputs);
+    let base_warm = run_baseline(
+        &base_cfg, &lib, &reference, &noise, &span, &arrivals, &inputs,
+    );
+    let base = run_baseline(
+        &base_cfg, &lib, &reference, &noise, &span, &arrivals, &inputs,
+    );
     assert_eq!(
         base_warm.checksum, base.checksum,
         "baseline cluster run is nondeterministic"
@@ -321,8 +328,7 @@ fn main() {
     s.push_str("}\n");
 
     let checking = check_path.is_some();
-    if let Some(path) = out_path.or_else(|| (!checking).then(|| "BENCH_cluster.json".to_string()))
-    {
+    if let Some(path) = out_path.or_else(|| (!checking).then(|| "BENCH_cluster.json".to_string())) {
         let mut f = std::fs::File::create(&path).expect("create output file");
         f.write_all(s.as_bytes()).expect("write json");
         eprintln!("wrote {path}");

@@ -268,7 +268,9 @@ fn main() {
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"rounds\": {rounds},\n"));
     s.push_str(&format!("  \"queue_depth\": {depth},\n"));
-    s.push_str(&format!("  \"baseline_rounds_per_sec\": {baseline_rounds_per_sec:.0},\n"));
+    s.push_str(&format!(
+        "  \"baseline_rounds_per_sec\": {baseline_rounds_per_sec:.0},\n"
+    ));
     s.push_str(&format!("  \"rounds_per_sec\": {rounds_per_sec:.0},\n"));
     s.push_str(&format!("  \"speedup\": {speedup:.2},\n"));
     s.push_str("  \"identical\": true\n");

@@ -82,7 +82,11 @@ fn run_open_loop_optimized(work: &[(f64, Vec<KernelDesc>)], seed: u64) -> Measur
     while let Some(c) = e.step() {
         checksum = fold(checksum, c.id.0, c.start_ms, c.end_ms);
     }
-    Measured { events: e.events(), elapsed_s: t0.elapsed().as_secs_f64(), checksum }
+    Measured {
+        events: e.events(),
+        elapsed_s: t0.elapsed().as_secs_f64(),
+        checksum,
+    }
 }
 
 fn run_open_loop_baseline(work: &[(f64, Vec<KernelDesc>)], seed: u64) -> Measured {
@@ -95,7 +99,11 @@ fn run_open_loop_baseline(work: &[(f64, Vec<KernelDesc>)], seed: u64) -> Measure
     while let Some((id, start, end)) = e.step() {
         checksum = fold(checksum, id, start, end);
     }
-    Measured { events: e.events(), elapsed_s: t0.elapsed().as_secs_f64(), checksum }
+    Measured {
+        events: e.events(),
+        elapsed_s: t0.elapsed().as_secs_f64(),
+        checksum,
+    }
 }
 
 /// Workload B — group mode: reset, launch `width` streams at `t = 0`, run
@@ -135,7 +143,11 @@ fn run_groups_optimized(groups: &[Vec<Vec<KernelDesc>>], reps: usize, seed: u64)
             events += e.events();
         }
     }
-    Measured { events, elapsed_s: t0.elapsed().as_secs_f64(), checksum }
+    Measured {
+        events,
+        elapsed_s: t0.elapsed().as_secs_f64(),
+        checksum,
+    }
 }
 
 fn run_groups_baseline(groups: &[Vec<Vec<KernelDesc>>], reps: usize, seed: u64) -> Measured {
@@ -155,7 +167,11 @@ fn run_groups_baseline(groups: &[Vec<Vec<KernelDesc>>], reps: usize, seed: u64) 
             events += e.events();
         }
     }
-    Measured { events, elapsed_s: t0.elapsed().as_secs_f64(), checksum }
+    Measured {
+        events,
+        elapsed_s: t0.elapsed().as_secs_f64(),
+        checksum,
+    }
 }
 
 fn main() {
@@ -196,7 +212,10 @@ fn main() {
         opt_a.checksum, base_a.checksum,
         "open-loop completions diverged between baseline and optimized engines"
     );
-    assert_eq!(opt_a.events, base_a.events, "open-loop event counts diverged");
+    assert_eq!(
+        opt_a.events, base_a.events,
+        "open-loop event counts diverged"
+    );
     eprintln!(
         "  open loop: optimized {:.0} ev/s, baseline {:.0} ev/s ({:.2}x), {} events, identical",
         opt_a.events as f64 / opt_a.elapsed_s,
@@ -215,7 +234,10 @@ fn main() {
         opt_b.checksum, base_b.checksum,
         "group-mode completions diverged between baseline and optimized engines"
     );
-    assert_eq!(opt_b.events, base_b.events, "group-mode event counts diverged");
+    assert_eq!(
+        opt_b.events, base_b.events,
+        "group-mode event counts diverged"
+    );
     eprintln!(
         "  group mode: optimized {:.0} ev/s, baseline {:.0} ev/s ({:.2}x), {} events, identical",
         opt_b.events as f64 / opt_b.elapsed_s,
@@ -238,11 +260,25 @@ fn main() {
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     s.push_str(&format!("  \"events\": {events},\n"));
-    s.push_str(&format!("  \"open_loop_events_per_sec\": {:.0},\n", opt_a.events as f64 / opt_a.elapsed_s));
-    s.push_str(&format!("  \"open_loop_baseline_events_per_sec\": {:.0},\n", base_a.events as f64 / base_a.elapsed_s));
-    s.push_str(&format!("  \"group_mode_events_per_sec\": {:.0},\n", opt_b.events as f64 / opt_b.elapsed_s));
-    s.push_str(&format!("  \"group_mode_baseline_events_per_sec\": {:.0},\n", base_b.events as f64 / base_b.elapsed_s));
-    s.push_str(&format!("  \"baseline_events_per_sec\": {baseline_events_per_sec:.0},\n"));
+    s.push_str(&format!(
+        "  \"open_loop_events_per_sec\": {:.0},\n",
+        opt_a.events as f64 / opt_a.elapsed_s
+    ));
+    s.push_str(&format!(
+        "  \"open_loop_baseline_events_per_sec\": {:.0},\n",
+        base_a.events as f64 / base_a.elapsed_s
+    ));
+    s.push_str(&format!(
+        "  \"group_mode_events_per_sec\": {:.0},\n",
+        opt_b.events as f64 / opt_b.elapsed_s
+    ));
+    s.push_str(&format!(
+        "  \"group_mode_baseline_events_per_sec\": {:.0},\n",
+        base_b.events as f64 / base_b.elapsed_s
+    ));
+    s.push_str(&format!(
+        "  \"baseline_events_per_sec\": {baseline_events_per_sec:.0},\n"
+    ));
     s.push_str(&format!("  \"events_per_sec\": {events_per_sec:.0},\n"));
     s.push_str(&format!("  \"speedup\": {speedup:.2},\n"));
     s.push_str("  \"identical\": true\n");

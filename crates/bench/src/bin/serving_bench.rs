@@ -91,8 +91,7 @@ fn cell_spec<'a>(
         abacus,
         ..ColocationConfig::default()
     };
-    let pred: Option<Arc<dyn LatencyModel>> =
-        (policy == PolicyKind::Abacus).then(|| fx.model());
+    let pred: Option<Arc<dyn LatencyModel>> = (policy == PolicyKind::Abacus).then(|| fx.model());
     RunSpec::new(pair, policy, pred, &fx.lib, &fx.gpu, noise, &cfg)
 }
 
@@ -180,17 +179,36 @@ fn main() {
     }
     let exec_elapsed = t0.elapsed().as_secs_f64();
     let groups_per_sec = exec_groups as f64 / exec_elapsed;
-    eprintln!("  executor: {groups_per_sec:.0} groups/sec ({exec_groups} groups in {exec_elapsed:.2}s)");
+    eprintln!(
+        "  executor: {groups_per_sec:.0} groups/sec ({exec_groups} groups in {exec_elapsed:.2}s)"
+    );
 
     // --- One full fig14 cell: (Res152, Bert) under FCFS and under Abacus.
     let pair = [ModelId::ResNet152, ModelId::Bert];
     let t0 = Instant::now();
-    std::hint::black_box(run_cell(&fx, &noise, &pair, PolicyKind::Fcfs, cell_horizon_ms, 2021));
+    std::hint::black_box(run_cell(
+        &fx,
+        &noise,
+        &pair,
+        PolicyKind::Fcfs,
+        cell_horizon_ms,
+        2021,
+    ));
     let cell_fcfs_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
-    std::hint::black_box(run_cell(&fx, &noise, &pair, PolicyKind::Abacus, cell_horizon_ms, 2021));
+    std::hint::black_box(run_cell(
+        &fx,
+        &noise,
+        &pair,
+        PolicyKind::Abacus,
+        cell_horizon_ms,
+        2021,
+    ));
     let cell_abacus_ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!("  fig14 cell ({:.0} ms horizon): FCFS {cell_fcfs_ms:.0} ms, Abacus {cell_abacus_ms:.0} ms", cell_horizon_ms);
+    eprintln!(
+        "  fig14 cell ({:.0} ms horizon): FCFS {cell_fcfs_ms:.0} ms, Abacus {cell_abacus_ms:.0} ms",
+        cell_horizon_ms
+    );
 
     // --- Telemetry overhead: the same Abacus cell with a monitors-enabled
     // Telemetry attached (counters + run-health sketches/detectors). Each
@@ -208,12 +226,25 @@ fn main() {
         for _ in 0..reps {
             let t0 = Instant::now();
             for seed in 0..batch {
-                std::hint::black_box(run_cell(&fx, &noise, &pair, PolicyKind::Abacus, cell_horizon_ms, 2021 + seed));
+                std::hint::black_box(run_cell(
+                    &fx,
+                    &noise,
+                    &pair,
+                    PolicyKind::Abacus,
+                    cell_horizon_ms,
+                    2021 + seed,
+                ));
             }
             off_min = off_min.min(t0.elapsed().as_secs_f64() * 1e3 / batch as f64);
             let t0 = Instant::now();
             for seed in 0..batch {
-                std::hint::black_box(run_cell_traced(&fx, &noise, &pair, cell_horizon_ms, 2021 + seed));
+                std::hint::black_box(run_cell_traced(
+                    &fx,
+                    &noise,
+                    &pair,
+                    cell_horizon_ms,
+                    2021 + seed,
+                ));
             }
             on_min = on_min.min(t0.elapsed().as_secs_f64() * 1e3 / batch as f64);
         }
@@ -294,9 +325,10 @@ fn main() {
         }
     }
     let identical = serial.len() == parallel.len()
-        && serial.iter().zip(&parallel).all(|(a, b)| {
-            a.p99 == b.p99 && a.violations == b.violations && a.total == b.total
-        });
+        && serial
+            .iter()
+            .zip(&parallel)
+            .all(|(a, b)| a.p99 == b.p99 && a.violations == b.violations && a.total == b.total);
     assert!(identical, "parallel sweep diverged from serial order");
     let speedup = sweep_serial_ms / sweep_parallel_ms;
     eprintln!(
@@ -315,15 +347,27 @@ fn main() {
         None => s.push_str("  \"baseline_groups_per_sec\": null,\n"),
     }
     s.push_str(&format!("  \"groups_per_sec\": {groups_per_sec:.1},\n"));
-    s.push_str(&format!("  \"fig14_cell_horizon_ms\": {cell_horizon_ms:.0},\n"));
+    s.push_str(&format!(
+        "  \"fig14_cell_horizon_ms\": {cell_horizon_ms:.0},\n"
+    ));
     s.push_str(&format!("  \"fig14_cell_fcfs_ms\": {cell_fcfs_ms:.1},\n"));
-    s.push_str(&format!("  \"fig14_cell_abacus_ms\": {cell_abacus_ms:.1},\n"));
-    s.push_str(&format!("  \"telemetry_off_cell_ms\": {telemetry_off_cell_ms:.2},\n"));
-    s.push_str(&format!("  \"telemetry_cell_ms\": {telemetry_cell_ms:.2},\n"));
-    s.push_str(&format!("  \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n"));
+    s.push_str(&format!(
+        "  \"fig14_cell_abacus_ms\": {cell_abacus_ms:.1},\n"
+    ));
+    s.push_str(&format!(
+        "  \"telemetry_off_cell_ms\": {telemetry_off_cell_ms:.2},\n"
+    ));
+    s.push_str(&format!(
+        "  \"telemetry_cell_ms\": {telemetry_cell_ms:.2},\n"
+    ));
+    s.push_str(&format!(
+        "  \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n"
+    ));
     s.push_str(&format!("  \"sweep_cells\": {},\n", cells.len()));
     s.push_str(&format!("  \"sweep_serial_ms\": {sweep_serial_ms:.1},\n"));
-    s.push_str(&format!("  \"sweep_parallel_ms\": {sweep_parallel_ms:.1},\n"));
+    s.push_str(&format!(
+        "  \"sweep_parallel_ms\": {sweep_parallel_ms:.1},\n"
+    ));
     s.push_str(&format!("  \"sweep_speedup\": {speedup:.2},\n"));
     s.push_str(&format!("  \"sweep_identical\": {identical}\n"));
     s.push_str("}\n");

@@ -164,7 +164,10 @@ fn main() {
         serial,
         ..MlpConfig::default()
     };
-    eprintln!("training ({} samples x {epochs} epochs, min of {reps})...", data.len());
+    eprintln!(
+        "training ({} samples x {epochs} epochs, min of {reps})...",
+        data.len()
+    );
     // Interleave the three trainers' reps (scalar, serial, pooled, scalar,
     // …) so slow phases of a shared host hit all legs alike instead of
     // skewing whichever leg they landed on — the speedup ratio then stays
@@ -186,8 +189,8 @@ fn main() {
             pooled = Some(Mlp::train(&data, &cfg(false)));
         }));
     }
-    let serial_parallel_identical = serial.as_ref().unwrap().raw_params()
-        == pooled.as_ref().unwrap().raw_params();
+    let serial_parallel_identical =
+        serial.as_ref().unwrap().raw_params() == pooled.as_ref().unwrap().raw_params();
 
     let ccfg = TrainerConfig {
         samples_per_set: CAMPAIGN_SAMPLES_PER_SET,

@@ -43,7 +43,12 @@ pub fn run(opts: &Options) {
 
     let mut csv = CsvWriter::create(
         opts.csv_path("ablation"),
-        &["variant", "p99_over_qos", "violation_ratio", "throughput_qps"],
+        &[
+            "variant",
+            "p99_over_qos",
+            "violation_ratio",
+            "throughput_qps",
+        ],
     )
     .expect("csv");
     let mut table = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);
@@ -76,7 +81,11 @@ pub fn run(opts: &Options) {
     };
 
     // (a) pipelined vs non-pipelined scheduling.
-    leg("mlp+pipelined (default)", as_model(&mlp), AbacusConfig::default());
+    leg(
+        "mlp+pipelined (default)",
+        as_model(&mlp),
+        AbacusConfig::default(),
+    );
     leg(
         "mlp, no pipelining",
         as_model(&mlp),
@@ -119,10 +128,17 @@ pub fn run(opts: &Options) {
         inner: as_model(&mlp),
         factor: 1.8,
     });
-    leg("no-overlap pessimist (Fig. 6a view)", pessimist, AbacusConfig::default());
+    leg(
+        "no-overlap pessimist (Fig. 6a view)",
+        pessimist,
+        AbacusConfig::default(),
+    );
 
     csv.flush().expect("flush");
-    println!("Ablations on (Res152, Bert) at {} QPS aggregate", opts.qos_load_total());
+    println!(
+        "Ablations on (Res152, Bert) at {} QPS aggregate",
+        opts.qos_load_total()
+    );
     println!("{}", table.render());
 
     // (d) predictor precision under pressure: on the saturating VGG pair
@@ -168,7 +184,8 @@ pub fn run(opts: &Options) {
         );
         let r = serving::run(&spec, None);
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
-        csv.write_record(&format!("vgg-peak: {name}"), &row).expect("row");
+        csv.write_record(&format!("vgg-peak: {name}"), &row)
+            .expect("row");
         table2.row_f64(name.to_string(), &row, 3);
     }
     csv.flush().expect("flush");
@@ -190,7 +207,10 @@ pub fn run(opts: &Options) {
         },
     ));
     let mut table3 = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);
-    for (name, model) in [("mean MLP", as_model(&mlp)), ("q90 MLP (pinball loss)", q90)] {
+    for (name, model) in [
+        ("mean MLP", as_model(&mlp)),
+        ("q90 MLP (pinball loss)", q90),
+    ] {
         let spec = RunSpec::new(
             &pair,
             PolicyKind::Abacus,
@@ -202,7 +222,8 @@ pub fn run(opts: &Options) {
         );
         let r = serving::run(&spec, None);
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
-        csv.write_record(&format!("tail-aware: {name}"), &row).expect("row");
+        csv.write_record(&format!("tail-aware: {name}"), &row)
+            .expect("row");
         table3.row_f64(name.to_string(), &row, 3);
     }
     println!("Tail-aware prediction (extension) — (Res152, Bert):");
@@ -228,7 +249,11 @@ pub fn run(opts: &Options) {
     let mut table4 = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);
     for (name, library, model) in [
         ("unfused graphs", lib.clone(), as_model(&mlp)),
-        ("fused graphs (Rammer/TensorRT-style)", fused_lib.clone(), fused_model),
+        (
+            "fused graphs (Rammer/TensorRT-style)",
+            fused_lib.clone(),
+            fused_model,
+        ),
     ] {
         let spec = RunSpec::new(
             &pair,
@@ -241,7 +266,8 @@ pub fn run(opts: &Options) {
         );
         let r = serving::run(&spec, None);
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
-        csv.write_record(&format!("fusion: {name}"), &row).expect("row");
+        csv.write_record(&format!("fusion: {name}"), &row)
+            .expect("row");
         table4.row_f64(name.to_string(), &row, 3);
     }
     println!("Composition with operator fusion (§2 extension) — (Res152, Bert):");

@@ -17,18 +17,31 @@ pub fn run(opts: &Options) {
     let samples = (opts.scale.samples_per_set() / 10).max(50);
     let runs = opts.scale.runs_per_group().min(5);
 
-    let mut csv = CsvWriter::create(opts.csv_path("affinity"), &["pair", "overlap_gain"])
-        .expect("csv");
+    let mut csv =
+        CsvWriter::create(opts.csv_path("affinity"), &["pair", "overlap_gain"]).expect("csv");
     let mut table = Table::new(vec!["pair", "peak overlap gain", "deployable"]);
     let mut affinities: Vec<PairAffinity> = Vec::new();
     for (i, pair) in predictor::all_pairs().into_iter().enumerate() {
-        let a = peak_affinity(pair, &lib, &gpu, &noise, samples, runs, opts.seed ^ i as u64);
+        let a = peak_affinity(
+            pair,
+            &lib,
+            &gpu,
+            &noise,
+            samples,
+            runs,
+            opts.seed ^ i as u64,
+        );
         let label = crate::common::pair_label(&pair);
         csv.write_record(&label, &[a.gain]).expect("row");
         table.row(vec![
             label,
             format!("{:.3}", a.gain),
-            if a.gain >= NO_OVERLAP_GAIN { "yes" } else { "no (sequential-equivalent)" }.into(),
+            if a.gain >= NO_OVERLAP_GAIN {
+                "yes"
+            } else {
+                "no (sequential-equivalent)"
+            }
+            .into(),
         ]);
         affinities.push(a);
     }

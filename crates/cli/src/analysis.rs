@@ -38,14 +38,20 @@ pub fn run(opts: &Options) {
         ],
     )
     .expect("csv");
-    let mut table = Table::new(vec!["policy", "queue", "q50", "q99", "service", "mean e2e", "p99"]);
+    let mut table = Table::new(vec![
+        "policy", "queue", "q50", "q99", "service", "mean e2e", "p99",
+    ]);
     println!(
         "Latency anatomy — ({},{}) at {} QPS aggregate (completed queries; queue \
          percentiles {})",
         pair[0].name(),
         pair[1].name(),
         opts.qos_load_total(),
-        if opts.sketch { "from the streaming sketch" } else { "exact" }
+        if opts.sketch {
+            "from the streaming sketch"
+        } else {
+            "exact"
+        }
     );
     for policy in PolicyKind::ALL {
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(&mlp));
@@ -58,7 +64,10 @@ pub fn run(opts: &Options) {
         // sketch (bounded memory, within its documented rank-error of the
         // exact pool); the default stays the exact kept-every-delay path.
         let (q50, q99) = if opts.sketch {
-            (r.all.queue_sketch_percentile(50.0), r.all.queue_sketch_percentile(99.0))
+            (
+                r.all.queue_sketch_percentile(50.0),
+                r.all.queue_sketch_percentile(99.0),
+            )
         } else {
             (r.all.queue_p50_ms(), r.all.queue_p99_ms())
         };

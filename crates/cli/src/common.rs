@@ -188,8 +188,13 @@ pub fn ensure_predictor(
             opts.scale.runs_per_group()
         );
         let t0 = std::time::Instant::now();
-        let (mlp, data) =
-            train_unified(sets, lib, gpu, &NoiseModel::calibrated(), &opts.trainer_config());
+        let (mlp, data) = train_unified(
+            sets,
+            lib,
+            gpu,
+            &NoiseModel::calibrated(),
+            &opts.trainer_config(),
+        );
         let mut rng = workload::SeededRng::new(1);
         let (_, test) = data.split(0.9, &mut rng);
         let err = predictor::eval::mape(&mlp, &test);
@@ -268,7 +273,10 @@ pub fn ensure_certified(
         &opts.trainer_config(),
         alpha,
     );
-    eprintln!("[predictor] certified stack trained in {:.1?}", t0.elapsed());
+    eprintln!(
+        "[predictor] certified stack trained in {:.1?}",
+        t0.elapsed()
+    );
     if let Err(e) = persist::save(&trained.mean, &mpath) {
         eprintln!("[predictor] warning: could not cache mean model: {e}");
     }

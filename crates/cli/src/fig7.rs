@@ -44,7 +44,10 @@ pub fn run(opts: &Options) {
         .map(|(m, s)| s / m.max(1e-9))
         .collect();
 
-    println!("Fig. 7 / §5.2 — determinism of {n} operator groups x {} runs", cfg.runs_per_group);
+    println!(
+        "Fig. 7 / §5.2 — determinism of {n} operator groups x {} runs",
+        cfg.runs_per_group
+    );
     println!("  mean group latency : {mean_e2e:.1} ms   (paper: 15.9 ms)");
     println!("  90%-ile latency    : {p90_e2e:.1} ms   (paper: 25.8 ms)");
     println!("  average std        : {mean_std:.2} ms   (paper: 0.65 ms)");
@@ -54,11 +57,8 @@ pub fn run(opts: &Options) {
         100.0 * abacus_metrics::mean(&ratios)
     );
 
-    let mut csv = CsvWriter::create(
-        opts.csv_path("fig7"),
-        &["series", "quantile", "value_ms"],
-    )
-    .expect("csv");
+    let mut csv =
+        CsvWriter::create(opts.csv_path("fig7"), &["series", "quantile", "value_ms"]).expect("csv");
     for (name, data) in [("e2e", &means), ("std", &stds)] {
         let cdf = Cdf::new(data);
         for (v, q) in cdf.curve(60) {

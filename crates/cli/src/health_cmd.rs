@@ -81,13 +81,34 @@ struct CellSpec {
 }
 
 const CELLS: [CellSpec; 7] = [
-    CellSpec { kind: Kind::None, intensity: 0.0 },
-    CellSpec { kind: Kind::Bias, intensity: 0.5 },
-    CellSpec { kind: Kind::Bias, intensity: 1.0 },
-    CellSpec { kind: Kind::Burst, intensity: 0.5 },
-    CellSpec { kind: Kind::Burst, intensity: 1.0 },
-    CellSpec { kind: Kind::Full, intensity: 0.5 },
-    CellSpec { kind: Kind::Full, intensity: 1.0 },
+    CellSpec {
+        kind: Kind::None,
+        intensity: 0.0,
+    },
+    CellSpec {
+        kind: Kind::Bias,
+        intensity: 0.5,
+    },
+    CellSpec {
+        kind: Kind::Bias,
+        intensity: 1.0,
+    },
+    CellSpec {
+        kind: Kind::Burst,
+        intensity: 0.5,
+    },
+    CellSpec {
+        kind: Kind::Burst,
+        intensity: 1.0,
+    },
+    CellSpec {
+        kind: Kind::Full,
+        intensity: 0.5,
+    },
+    CellSpec {
+        kind: Kind::Full,
+        intensity: 1.0,
+    },
 ];
 
 /// The fault plan of one cell. The `bias`/`burst` arms take exactly the
@@ -101,7 +122,9 @@ fn plan_for(spec: &CellSpec, seed: u64) -> FaultPlan {
         Kind::Bias => FaultPlan {
             seed,
             kernel: None,
-            predictor: Some(PredictorFault::Bias { factor: 1.0 - 0.5 * i }),
+            predictor: Some(PredictorFault::Bias {
+                factor: 1.0 - 0.5 * i,
+            }),
             burst: None,
             degraded: Vec::new(),
         },
@@ -333,7 +356,15 @@ pub fn run(opts: &Options) {
         pair_label(&models)
     );
     let mut table = Table::new(vec![
-        "cell", "intensity", "viol", "q99 ms", "drift@ms", "lat ms", "burn@ms", "lat ms", "alerts",
+        "cell",
+        "intensity",
+        "viol",
+        "q99 ms",
+        "drift@ms",
+        "lat ms",
+        "burn@ms",
+        "lat ms",
+        "alerts",
     ]);
     let mut total_invariant_violations = 0usize;
     for (spec, c) in CELLS.iter().zip(&results) {
@@ -369,7 +400,9 @@ pub fn run(opts: &Options) {
         base.solo_ewma_abs * 100.0,
         base.multi_ewma_abs * 100.0,
         match base.solo_drift_ms {
-            Some(t) => format!("alarmed at {t:.0} ms (solo-round out-of-distribution regime, detected online)"),
+            Some(t) => format!(
+                "alarmed at {t:.0} ms (solo-round out-of-distribution regime, detected online)"
+            ),
             None => "stayed quiet (no solo rounds reached warm-up)".to_string(),
         }
     );

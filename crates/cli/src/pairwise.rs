@@ -6,7 +6,9 @@
 //! throughput at saturating load, and Fig. 16 the Abacus p99 with minimum
 //! inputs under tightened QoS.
 
-use crate::common::{as_model, ensure_predictor, map_cells, pair_label, pinned_abacus_config, Options};
+use crate::common::{
+    as_model, ensure_predictor, map_cells, pair_label, pinned_abacus_config, Options,
+};
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -96,7 +98,10 @@ pub fn run_qos(opts: &Options) {
     csv14.flush().expect("flush");
     csv15.flush().expect("flush");
     let n = grid.len() as f64;
-    println!("Fig. 14 — normalised 99%-ile latency (load {} QPS aggregate)", opts.qos_load_total());
+    println!(
+        "Fig. 14 — normalised 99%-ile latency (load {} QPS aggregate)",
+        opts.qos_load_total()
+    );
     println!("{}", t14.render());
     println!(
         "Abacus p99 reduction vs FCFS/SJF/EDF: {:.1}% / {:.1}% / {:.1}%  (paper: 23.1 / 34.1 / 23.8)",

@@ -186,17 +186,33 @@ pub fn run(opts: &Options) {
     // pairs-only stack, reproducing the PR 5 width-split finding — solo
     // rounds are the pairs-trained predictor's out-of-distribution tail,
     // so the pairs-only certifier prices them at much wider intervals.
-    let (pair_mean, pair_cert) =
-        ensure_certified("pareto_pair_a100", &[models.to_vec()], &lib, &gpu, opts, ALPHAS[0]);
+    let (pair_mean, pair_cert) = ensure_certified(
+        "pareto_pair_a100",
+        &[models.to_vec()],
+        &lib,
+        &gpu,
+        opts,
+        ALPHAS[0],
+    );
     let mut specs = sample_groups(&models, 400, &lib, fork_seed(opts.seed, 0xD1));
     for (i, &m) in models.iter().enumerate() {
-        specs.extend(sample_groups(&[m], 200, &lib, fork_seed(opts.seed, 0xD2 + i as u64)));
+        specs.extend(sample_groups(
+            &[m],
+            200,
+            &lib,
+            fork_seed(opts.seed, 0xD2 + i as u64),
+        ));
     }
     let stacks: [(&str, &Mlp, &predictor::ConformalModel); 2] = [
         ("pair+solo", &mean, &certifier),
         ("pair-only", &pair_mean, &pair_cert),
     ];
-    let wheaders = ["stack/width", "mean_interval_ms", "relative_width", "samples"];
+    let wheaders = [
+        "stack/width",
+        "mean_interval_ms",
+        "relative_width",
+        "samples",
+    ];
     let mut wcsv = CsvWriter::create(opts.csv_path("pareto_width"), &wheaders).expect("csv");
     let mut wtable = Table::new(wheaders.to_vec());
     println!(

@@ -154,7 +154,9 @@ pub fn run(opts: &Options) {
 
     // --- §5.2 prediction-error sweep: same deployment, independent seeds,
     // counters only (no kernel trace) so each cell stays cheap.
-    let seeds: Vec<u64> = (0..SWEEP_SEEDS as u64).map(|i| fork_seed(opts.seed, i)).collect();
+    let seeds: Vec<u64> = (0..SWEEP_SEEDS as u64)
+        .map(|i| fork_seed(opts.seed, i))
+        .collect();
     let cells = map_cells(opts.parallel, &seeds, |&seed| {
         let cfg = ColocationConfig {
             qps_per_service: opts.qos_load_total() / 2.0,
@@ -198,16 +200,31 @@ pub fn run(opts: &Options) {
     )
     .expect("csv");
     let mut table = Table::new(vec![
-        "seed", "multi", "mean %", "std %", "|mean| %", "solo", "solo |mean| %",
+        "seed",
+        "multi",
+        "mean %",
+        "std %",
+        "|mean| %",
+        "solo",
+        "solo |mean| %",
     ]);
     let mut pooled_multi = Vec::new();
     let mut pooled_solo = Vec::new();
     for (seed, multi, solo) in &cells {
-        let Some(r) = PredictionErrorReport::of(multi) else { continue };
+        let Some(r) = PredictionErrorReport::of(multi) else {
+            continue;
+        };
         let solo_abs = PredictionErrorReport::of(solo).map_or(f64::NAN, |s| s.mean_abs);
         csv.write_record(
             &seed.to_string(),
-            &[r.rounds as f64, r.mean, r.std, r.mean_abs, solo.len() as f64, solo_abs],
+            &[
+                r.rounds as f64,
+                r.mean,
+                r.std,
+                r.mean_abs,
+                solo.len() as f64,
+                solo_abs,
+            ],
         )
         .expect("row");
         table.row_f64(
@@ -229,7 +246,14 @@ pub fn run(opts: &Options) {
     let solo_all = PredictionErrorReport::of(&pooled_solo).map_or(f64::NAN, |s| s.mean_abs);
     csv.write_record(
         "pooled",
-        &[all.rounds as f64, all.mean, all.std, all.mean_abs, pooled_solo.len() as f64, solo_all],
+        &[
+            all.rounds as f64,
+            all.mean,
+            all.std,
+            all.mean_abs,
+            pooled_solo.len() as f64,
+            solo_all,
+        ],
     )
     .expect("row");
     csv.flush().expect("flush");

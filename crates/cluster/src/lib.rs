@@ -26,12 +26,11 @@ pub use autoscale::{
 };
 pub use route::{
     derate_of, run_routed_cluster, run_routed_cluster_on, write_records_csv, HeadroomRouter,
-    NodeHead, NodePool,
-    RouteOutcome, RoutedClusterConfig, RoutedRunResult, RouterStats,
+    NodeHead, NodePool, RouteOutcome, RoutedClusterConfig, RoutedRunResult, RouterStats,
 };
 pub use sim::{
-    cluster_workload, run_cluster_detailed, ClusterConfig, ClusterRunResult,
-    ClusterSystem, GpuUsage,
+    cluster_workload, run_cluster_detailed, ClusterConfig, ClusterRunResult, ClusterSystem,
+    GpuUsage,
 };
 pub use timeline::{
     add_counter_tracks, build_timeline, build_timeline_bucketed, summarize, TimelinePoint,

@@ -45,8 +45,8 @@ use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{
-    encode_features_with_ops, DeratedModel, GroupEntry, LatencyModel, FEATURE_DIM,
-    MODEL_SLOT_BASE, SLOT_WIDTH,
+    encode_features_with_ops, DeratedModel, GroupEntry, LatencyModel, FEATURE_DIM, MODEL_SLOT_BASE,
+    SLOT_WIDTH,
 };
 use std::sync::Arc;
 use telemetry::{Counter, Hist, Telemetry};
@@ -335,12 +335,7 @@ impl HeadroomRouter {
     /// is shed for *any* non-negative prediction, so the router sheds
     /// without encoding candidates or running the forward. Scored
     /// arrivals always use exactly one batched forward.
-    pub fn route(
-        &mut self,
-        t_ms: f64,
-        q: &Query,
-        mut tel: Option<&mut Telemetry>,
-    ) -> RouteOutcome {
+    pub fn route(&mut self, t_ms: f64, q: &Query, mut tel: Option<&mut Telemetry>) -> RouteOutcome {
         let s = &mut self.scratch;
         let mut min_wait = f64::INFINITY;
         for g in 0..s.active.len() {
@@ -572,7 +567,8 @@ impl RoutedGpuSim {
             if t > until {
                 break;
             }
-            self.scheduler.decide_into(t, &self.queue, &mut self.decision);
+            self.scheduler
+                .decide_into(t, &self.queue, &mut self.decision);
             let n_dropped = self.decision.dropped.len();
             for i in 0..n_dropped {
                 let id = self.decision.dropped[i];
@@ -598,7 +594,11 @@ impl RoutedGpuSim {
                 let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
                 self.queue[pos].advance_to(e.op_end);
                 if self.queue[pos].is_complete() {
-                    self.retire(pos, self.free_at - self.queue[pos].arrival_ms, QueryOutcome::Completed);
+                    self.retire(
+                        pos,
+                        self.free_at - self.queue[pos].arrival_ms,
+                        QueryOutcome::Completed,
+                    );
                 }
             }
             // Hand the entry buffer back for next round's recycling.
@@ -919,14 +919,7 @@ mod tests {
     }
 
     fn test_query(id: u64, t: f64) -> Query {
-        Query::new(
-            id,
-            ModelId::ResNet50,
-            QueryInput::new(4, 1),
-            t,
-            100.0,
-            10,
-        )
+        Query::new(id, ModelId::ResNet50, QueryInput::new(4, 1), t, 100.0, 10)
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //!
 //! Both systems see the same arrival stream and the same per-GPU hardware.
 
-use abacus_core::{
-    AbacusConfig, AbacusScheduler, Query, Scheduler, SegmentalExecutor,
-};
+use abacus_core::{AbacusConfig, AbacusScheduler, Query, Scheduler, SegmentalExecutor};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use faults::NodeDegradation;
@@ -222,10 +220,7 @@ impl GpuSim {
                 let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
                 self.queue[pos].mark_started(start);
             }
-            let spec = group.to_spec(
-                |id| self.queue.iter().find(|q| q.id == id).unwrap(),
-                lib,
-            );
+            let spec = group.to_spec(|id| self.queue.iter().find(|q| q.id == id).unwrap(), lib);
             let out = self.executor.execute(&spec);
             self.free_at = start + out.duration_ms;
             self.usage.busy_ms += out.duration_ms;
@@ -436,11 +431,11 @@ fn run_clockwork(
     let mut records = Vec::with_capacity(arrivals.len());
 
     let drain = |central: &mut Vec<ClusterQuery>,
-                     free_at: &mut Vec<f64>,
-                     usage: &mut Vec<GpuUsage>,
-                     executors: &mut Vec<SegmentalExecutor>,
-                     records: &mut Vec<QueryRecord>,
-                     until: f64| {
+                 free_at: &mut Vec<f64>,
+                 usage: &mut Vec<GpuUsage>,
+                 executors: &mut Vec<SegmentalExecutor>,
+                 records: &mut Vec<QueryRecord>,
+                 until: f64| {
         loop {
             if central.is_empty() {
                 break;

@@ -106,7 +106,12 @@ struct ReferenceRouter {
 }
 
 impl ReferenceRouter {
-    fn new(model: Arc<dyn LatencyModel>, derates: Vec<f64>, spill_slack_ms: f64, seed: u64) -> Self {
+    fn new(
+        model: Arc<dyn LatencyModel>,
+        derates: Vec<f64>,
+        spill_slack_ms: f64,
+        seed: u64,
+    ) -> Self {
         let n = derates.len();
         Self {
             model,
@@ -265,13 +270,7 @@ fn deep_overload_sheds_without_a_forward() {
         // on wait alone, whatever the predictor would have said.
         router.sync(g, 10, 200.0, None);
     }
-    let q = test_query(
-        &lib,
-        0,
-        ModelId::ResNet50,
-        QueryInput::new(4, 1),
-        0.0,
-    );
+    let q = test_query(&lib, 0, ModelId::ResNet50, QueryInput::new(4, 1), 0.0);
     assert_eq!(router.route(0.0, &q, None), RouteOutcome::Shed);
     let stats = router.stats();
     assert_eq!(stats.shed, 1);
@@ -319,10 +318,7 @@ proptest! {
 }
 
 fn small_cfg(parallel: bool, autoscale: bool) -> RoutedClusterConfig {
-    let mut cfg = RoutedClusterConfig::paper(
-        RateTrace::with_bucket_ms(vec![420.0], 4_000.0),
-        2021,
-    );
+    let mut cfg = RoutedClusterConfig::paper(RateTrace::with_bucket_ms(vec![420.0], 4_000.0), 2021);
     cfg.parallel = parallel;
     // Pin the per-round prediction overhead: the default measures real
     // wall time (the paper's self-accounting), which is exactly the
@@ -340,8 +336,16 @@ fn run_csv(parallel: bool, autoscale: bool, tag: &str) -> Vec<u8> {
     let lib = Arc::new(ModelLibrary::new());
     let noise = NoiseModel::calibrated();
     let model: Arc<dyn LatencyModel> = Arc::new(SpreadModel);
-    let out = run_routed_cluster(&small_cfg(parallel, autoscale), &lib, &noise, model, None, None);
-    let path = std::env::temp_dir().join(format!("routing_golden_{tag}_{}.csv", std::process::id()));
+    let out = run_routed_cluster(
+        &small_cfg(parallel, autoscale),
+        &lib,
+        &noise,
+        model,
+        None,
+        None,
+    );
+    let path =
+        std::env::temp_dir().join(format!("routing_golden_{tag}_{}.csv", std::process::id()));
     write_records_csv(&path, &out.records).expect("write csv");
     let bytes = std::fs::read(&path).expect("read csv");
     std::fs::remove_file(&path).ok();
@@ -359,7 +363,10 @@ fn serial_and_parallel_cluster_csvs_are_byte_identical() {
     assert_eq!(serial, parallel, "parallel cluster CSV diverged");
     let serial_auto = run_csv(false, true, "sa");
     let parallel_auto = run_csv(true, true, "pa");
-    assert_eq!(serial_auto, parallel_auto, "autoscaled cluster CSV diverged");
+    assert_eq!(
+        serial_auto, parallel_auto,
+        "autoscaled cluster CSV diverged"
+    );
     assert_ne!(serial, serial_auto, "autoscaler had no observable effect");
 }
 
@@ -405,10 +412,12 @@ fn telemetry_enabled_run_is_byte_identical_to_disabled() {
     let plain = run_routed_cluster(&cfg, &lib, &noise, model.clone(), None, None);
     let mut tel = telemetry::Telemetry::new();
     let with_tel = run_routed_cluster(&cfg, &lib, &noise, model, None, Some(&mut tel));
-    assert_eq!(plain.records, with_tel.records, "telemetry perturbed the run");
+    assert_eq!(
+        plain.records, with_tel.records,
+        "telemetry perturbed the run"
+    );
     use telemetry::Counter;
-    let scored = tel.registry.get(Counter::RouterRouted)
-        + tel.registry.get(Counter::RouterSpilled);
+    let scored = tel.registry.get(Counter::RouterRouted) + tel.registry.get(Counter::RouterSpilled);
     assert!(scored > 0, "telemetry counted nothing");
     assert_eq!(
         tel.registry.get(Counter::RouterRouted),
@@ -457,6 +466,9 @@ fn routed_cluster_record_digests_are_pinned() {
         let model: Arc<dyn LatencyModel> = Arc::new(SpreadModel);
         let out = run_routed_cluster(&cfg, &lib, &noise, model, None, None);
         let got = record_digest(&out.records);
-        assert_eq!(got, want, "seed {seed}, autoscale {autoscale}: digest moved");
+        assert_eq!(
+            got, want,
+            "seed {seed}, autoscale {autoscale}: digest moved"
+        );
     }
 }

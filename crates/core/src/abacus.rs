@@ -347,7 +347,8 @@ impl AbacusScheduler {
             &scratch.cert_ops,
             &mut scratch.cert_features[..FEATURE_DIM],
         );
-        self.model.predict_one(&scratch.cert_features[..FEATURE_DIM])
+        self.model
+            .predict_one(&scratch.cert_features[..FEATURE_DIM])
     }
 
     /// FCFS degradation dispatch: earliest arrival runs alone, no
@@ -425,7 +426,10 @@ impl Scheduler for AbacusScheduler {
         // now-independent; DESIGN.md §12). Incremental when the node drove
         // the admit/retire hooks; full rebuild otherwise.
         let DecisionScratch {
-            ranks, candidates, search, ..
+            ranks,
+            candidates,
+            search,
+            ..
         } = &mut self.scratch;
         if self.order.resolve_ranks(queue, ranks) {
             self.stats.incremental_rounds += 1;
@@ -725,7 +729,11 @@ mod tests {
         }
     }
 
-    fn defended(fallback: Option<f64>, adaptive: bool, model: Arc<dyn LatencyModel>) -> AbacusScheduler {
+    fn defended(
+        fallback: Option<f64>,
+        adaptive: bool,
+        model: Arc<dyn LatencyModel>,
+    ) -> AbacusScheduler {
         AbacusScheduler::new(
             model,
             Arc::new(ModelLibrary::new()),
@@ -775,7 +783,10 @@ mod tests {
         // Sustained 90% error: the warmup gate holds the trigger for the
         // first ERR_WARMUP_SAMPLES groups, then the threshold latches.
         for sample in 0..ERR_WARMUP_SAMPLES {
-            assert!(!s.is_degraded(), "degraded during warmup at sample {sample}");
+            assert!(
+                !s.is_degraded(),
+                "degraded during warmup at sample {sample}"
+            );
             let d = s.decide(0.0, &queue);
             s.on_group_complete(d.group.unwrap().predicted_ms * 10.0);
         }
@@ -839,8 +850,10 @@ mod tests {
     fn conformal_mode_plans_against_certifier_and_reports_mean() {
         // Certifier = mean × 1.5 (a constant-width interval): planning uses
         // the inflated bound, but `predicted_ms` stays the mean estimate.
-        let certifier: Arc<dyn LatencyModel> =
-            Arc::new(predictor::DeratedModel::new(Arc::new(SpanModel::uniform(10.0)), 1.5));
+        let certifier: Arc<dyn LatencyModel> = Arc::new(predictor::DeratedModel::new(
+            Arc::new(SpanModel::uniform(10.0)),
+            1.5,
+        ));
         let mut s = conformal(Some(certifier), true);
         let queue = vec![query(1, ModelId::ResNet50, 0.0, 100.0)];
         let d = s.decide(5.0, &queue);
@@ -875,8 +888,10 @@ mod tests {
         // A supplied certifier with the flag off — and the flag on without
         // a certifier — must both decide bit-identically to the plain
         // controller, with no certified bound recorded.
-        let wild: Arc<dyn LatencyModel> =
-            Arc::new(predictor::DeratedModel::new(Arc::new(SpanModel::uniform(10.0)), 50.0));
+        let wild: Arc<dyn LatencyModel> = Arc::new(predictor::DeratedModel::new(
+            Arc::new(SpanModel::uniform(10.0)),
+            50.0,
+        ));
         let queue = vec![
             query(1, ModelId::ResNet50, 0.0, 100.0),
             query(2, ModelId::Bert, 0.0, 30.0),

@@ -191,7 +191,7 @@ mod tests {
     fn edf_picks_earliest_deadline() {
         let mut s = mk(BaselinePolicy::Edf);
         let queue = vec![
-            query(1, ModelId::ResNet50, 0.0, 80.0),  // deadline 80
+            query(1, ModelId::ResNet50, 0.0, 80.0),   // deadline 80
             query(2, ModelId::ResNet101, 10.0, 40.0), // deadline 50
         ];
         let d = s.decide(15.0, &queue);

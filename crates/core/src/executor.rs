@@ -161,18 +161,16 @@ impl SegmentalExecutor {
         self.engine.reset(run_seed);
         self.engine.set_fault_time_base(self.busy_ms);
         for e in &spec.entries {
-            let profiles = self
-                .profiles
-                .entry((e.model, e.input))
-                .or_insert_with(|| {
-                    self.lib
-                        .kernels(e.model, e.input)
-                        .iter()
-                        .map(|k| RunningKernel::profile(k, self.engine.gpu()))
-                        .collect()
-                });
+            let profiles = self.profiles.entry((e.model, e.input)).or_insert_with(|| {
+                self.lib
+                    .kernels(e.model, e.input)
+                    .iter()
+                    .map(|k| RunningKernel::profile(k, self.engine.gpu()))
+                    .collect()
+            });
             self.engine.add_stream_slice_profiled(
-                self.lib.kernels_range(e.model, e.input, e.op_start, e.op_end),
+                self.lib
+                    .kernels_range(e.model, e.input, e.op_start, e.op_end),
                 &profiles[e.op_start..e.op_end],
                 0.0,
             );
@@ -204,14 +202,18 @@ impl SegmentalExecutor {
             }
             if e.op_end < graph.len() {
                 overhead += SAVE_RESTORE_MS; // save at round end
-                // The activation crossing the segment boundary: estimate
-                // as the boundary operator's output traffic share.
+                                             // The activation crossing the segment boundary: estimate
+                                             // as the boundary operator's output traffic share.
                 saved_bytes += graph.ops[e.op_end - 1].bytes / 3.0;
             }
         }
         ExecOutcome {
             duration_ms: total_ms + overhead,
-            stream_ms: self.completions.iter().map(|c| c.end_ms - c.start_ms).collect(),
+            stream_ms: self
+                .completions
+                .iter()
+                .map(|c| c.end_ms - c.start_ms)
+                .collect(),
             saved_bytes,
         }
     }
@@ -222,7 +224,10 @@ impl SegmentalExecutor {
         let streams: Vec<&[KernelDesc]> = spec
             .entries
             .iter()
-            .map(|e| self.lib.kernels_range(e.model, e.input, e.op_start, e.op_end))
+            .map(|e| {
+                self.lib
+                    .kernels_range(e.model, e.input, e.op_start, e.op_end)
+            })
             .collect();
         run_group(self.engine.gpu(), &NoiseModel::disabled(), 0, &streams).total_ms + GROUP_SYNC_MS
     }
@@ -291,7 +296,10 @@ mod tests {
     fn overlapped_group_duration_below_sequential() {
         let (mut ex, lib) = setup();
         let spec = GroupSpec::new(
-            vec![entry(ModelId::ResNet50, 0, 125), entry(ModelId::Bert, 0, 173)],
+            vec![
+                entry(ModelId::ResNet50, 0, 125),
+                entry(ModelId::Bert, 0, 173),
+            ],
             &lib,
         );
         let seq = spec.sequential_ms(&lib, ex.gpu());
@@ -303,9 +311,8 @@ mod tests {
     #[test]
     fn noisy_executor_is_deterministic_per_round_sequence() {
         let lib = Arc::new(ModelLibrary::new());
-        let mk = || {
-            SegmentalExecutor::new(GpuSpec::a100(), NoiseModel::calibrated(), lib.clone(), 9)
-        };
+        let mk =
+            || SegmentalExecutor::new(GpuSpec::a100(), NoiseModel::calibrated(), lib.clone(), 9);
         let spec = GroupSpec::new(vec![entry(ModelId::Vgg16, 0, 21)], &lib);
         let mut a = mk();
         let mut b = mk();
@@ -357,7 +364,10 @@ mod tests {
     fn silent_fault_spec_is_bit_identical() {
         let lib = Arc::new(ModelLibrary::new());
         let spec = GroupSpec::new(
-            vec![entry(ModelId::ResNet50, 0, 125), entry(ModelId::Bert, 0, 173)],
+            vec![
+                entry(ModelId::ResNet50, 0, 125),
+                entry(ModelId::Bert, 0, 173),
+            ],
             &lib,
         );
         let mut plain =

@@ -190,7 +190,14 @@ mod tests {
     use dnn_models::{ModelId, QueryInput};
 
     fn q(id: u64, arrival: f64, qos: f64) -> Query {
-        Query::new(id, ModelId::ResNet50, QueryInput::new(8, 1), arrival, qos, 10)
+        Query::new(
+            id,
+            ModelId::ResNet50,
+            QueryInput::new(8, 1),
+            arrival,
+            qos,
+            10,
+        )
     }
 
     /// The reference permutation: a full sort by `(deadline, id)`.
@@ -227,7 +234,10 @@ mod tests {
                 idx.remove(&queue[pos]);
                 queue.swap_remove(pos);
             }
-            assert!(idx.resolve_ranks(&queue, &mut ranks), "desync at step {step}");
+            assert!(
+                idx.resolve_ranks(&queue, &mut ranks),
+                "desync at step {step}"
+            );
             assert_eq!(ranks, full_sort(&queue), "order diverged at step {step}");
         }
         assert!(idx.peak_len() >= queue.len());

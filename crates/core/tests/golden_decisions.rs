@@ -144,7 +144,8 @@ fn golden_matches_prerefactor_reference() {
 fn golden_stream_matches_embedded_pre_overhaul_controller() {
     let lib = lib();
     let mut opt = AbacusScheduler::new(Arc::new(SpanModel::uniform(10.0)), lib.clone(), config());
-    let mut reference = BaselineController::new(Arc::new(SpanModel::uniform(10.0)), lib.clone(), config());
+    let mut reference =
+        BaselineController::new(Arc::new(SpanModel::uniform(10.0)), lib.clone(), config());
 
     const QOS_MS: [f64; 4] = [40.0, 60.0, 90.0, 140.0];
     let mut rng = Lcg::new(2021);
@@ -196,7 +197,10 @@ fn golden_stream_matches_embedded_pre_overhaul_controller() {
         }
     }
 
-    assert!(planned_rounds > 1_000, "workload planned {planned_rounds} groups");
+    assert!(
+        planned_rounds > 1_000,
+        "workload planned {planned_rounds} groups"
+    );
     // The hooks were driven every round: the order index never rebuilt.
     let stats = opt.decision_stats();
     assert_eq!(stats.full_rebuilds, 0, "incremental path never used");

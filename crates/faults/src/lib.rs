@@ -358,7 +358,9 @@ mod tests {
         let m: Arc<dyn LatencyModel> = Arc::new(Nasty);
         for fault in [
             PredictorFault::Bias { factor: -3.0 },
-            PredictorFault::Bias { factor: f64::INFINITY },
+            PredictorFault::Bias {
+                factor: f64::INFINITY,
+            },
             PredictorFault::Freeze { value_ms: f64::NAN },
             PredictorFault::Freeze { value_ms: -1.0 },
         ] {

@@ -267,7 +267,9 @@ mod tests {
         let mut u_m = 0.0f64;
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
         let mut fast = Vec::new();

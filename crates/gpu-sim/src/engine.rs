@@ -728,7 +728,8 @@ impl Engine {
             return;
         }
         self.time_ms += dt;
-        self.simd.decrement(&mut self.remaining, &self.slowdowns, dt);
+        self.simd
+            .decrement(&mut self.remaining, &self.slowdowns, dt);
     }
 
     /// Run every stream to completion.
@@ -818,7 +819,11 @@ mod tests {
         let ks = vec![small_kernel(); 10];
         let expected = sequence_solo_ms(&ks, &gpu());
         let r = crate::run_group(&gpu(), &NoiseModel::disabled(), 0, &[ks]);
-        assert!((r.total_ms - expected).abs() < 1e-6, "{} vs {expected}", r.total_ms);
+        assert!(
+            (r.total_ms - expected).abs() < 1e-6,
+            "{} vs {expected}",
+            r.total_ms
+        );
     }
 
     #[test]
@@ -847,7 +852,11 @@ mod tests {
             &[ks.clone(), ks.clone()],
         );
         // Two saturating streams: ~2x solo.
-        assert!((r.total_ms / solo - 2.0).abs() < 0.1, "{} vs {solo}", r.total_ms);
+        assert!(
+            (r.total_ms / solo - 2.0).abs() < 0.1,
+            "{} vs {solo}",
+            r.total_ms
+        );
     }
 
     #[test]
@@ -866,9 +875,8 @@ mod tests {
             .map(|s| crate::run_group(&gpu(), &NoiseModel::calibrated(), s, &streams).total_ms)
             .collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let std = (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-            / samples.len() as f64)
-            .sqrt();
+        let std =
+            (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64).sqrt();
         let cv = std / mean;
         assert!((mean / base - 1.0).abs() < 0.02, "mean {mean} base {base}");
         assert!(cv > 0.02 && cv < 0.06, "cv {cv}");
@@ -959,8 +967,16 @@ mod tests {
             }
         }
         // Cross-stream overlap actually happened (the whole point).
-        let a_last = trace.iter().filter(|s| s.stream == StreamId(0)).map(|s| s.end_ms).fold(0.0, f64::max);
-        let b_first = trace.iter().filter(|s| s.stream == StreamId(1)).map(|s| s.start_ms).fold(f64::INFINITY, f64::min);
+        let a_last = trace
+            .iter()
+            .filter(|s| s.stream == StreamId(0))
+            .map(|s| s.end_ms)
+            .fold(0.0, f64::max);
+        let b_first = trace
+            .iter()
+            .filter(|s| s.stream == StreamId(1))
+            .map(|s| s.start_ms)
+            .fold(f64::INFINITY, f64::min);
         assert!(b_first < a_last, "streams never overlapped");
     }
 
@@ -1106,14 +1122,23 @@ mod tests {
         // prob = 1 with noise disabled: every kernel is exactly `factor`
         // slower, so a solo stream's duration scales exactly.
         let ks = vec![small_kernel(); 6];
-        let base =
-            crate::run_group(&gpu(), &NoiseModel::disabled(), 0, std::slice::from_ref(&ks)).total_ms;
+        let base = crate::run_group(
+            &gpu(),
+            &NoiseModel::disabled(),
+            0,
+            std::slice::from_ref(&ks),
+        )
+        .total_ms;
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
         e.set_kernel_faults(Some(KernelFaultSpec::always(3, 1.0, 2.5)));
         e.add_stream(ks, 0.0);
         e.run_until_idle();
         let spiked = e.group_result().total_ms;
-        assert!((spiked - base * 2.5).abs() < 1e-9, "{spiked} vs {}", base * 2.5);
+        assert!(
+            (spiked - base * 2.5).abs() < 1e-9,
+            "{spiked} vs {}",
+            base * 2.5
+        );
     }
 
     #[test]
@@ -1221,7 +1246,10 @@ mod tests {
         e.run_until_idle();
         let r = e.group_result();
         assert_eq!(r.completions[0].end_ms, d);
-        assert_eq!(r.completions[1].end_ms, d, "near-tie must collapse to one event");
+        assert_eq!(
+            r.completions[1].end_ms, d,
+            "near-tie must collapse to one event"
+        );
         // ...while one with more than the epsilon left survives to its own
         // completion event.
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
@@ -1249,7 +1277,10 @@ mod tests {
         let stats = e.core_stats();
         assert_eq!(stats.max_active, 3);
         assert_eq!(stats.pending_peak, 3);
-        assert_eq!(stats.calendar_buckets, 0, "small backlog stays on the sorted path");
+        assert_eq!(
+            stats.calendar_buckets, 0,
+            "small backlog stays on the sorted path"
+        );
         e.reset(0);
         assert_eq!(e.core_stats(), EngineCoreStats::default());
     }

@@ -36,7 +36,10 @@ impl KernelFaultSpec {
     /// A spec that spikes every run, for the whole run.
     pub fn always(seed: u64, prob: f64, factor: f64) -> Self {
         assert!((0.0..=1.0).contains(&prob), "prob must be in [0, 1]");
-        assert!(factor.is_finite() && factor > 0.0, "factor must be finite and positive");
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "factor must be finite and positive"
+        );
         Self {
             seed,
             window_start_ms: 0.0,
@@ -123,7 +126,7 @@ mod tests {
         assert_eq!(st.spike_factor(5.0), 1.0); // before window
         assert_eq!(st.spike_factor(15.0), 2.0); // inside
         assert_eq!(st.spike_factor(25.0), 1.0); // after
-        // The base shifts group-local time into the window.
+                                                // The base shifts group-local time into the window.
         st.set_base_ms(12.0);
         assert_eq!(st.spike_factor(3.0), 2.0);
     }

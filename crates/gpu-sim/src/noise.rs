@@ -82,9 +82,8 @@ mod tests {
         let mut rng = SeededRng::new(1);
         let samples: Vec<f64> = (0..10_000).map(|_| n.session_factor(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let std = (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-            / samples.len() as f64)
-            .sqrt();
+        let std =
+            (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64).sqrt();
         // Session std/mean close to session_sigma for small sigma.
         assert!((std / mean - 0.038).abs() < 0.005, "cv {}", std / mean);
         assert!((mean - 1.0).abs() < 0.01);

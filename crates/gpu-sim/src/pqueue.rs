@@ -49,8 +49,7 @@ impl Entry {
     /// order the determinism contract pins.
     #[inline]
     fn before(&self, other: &Entry) -> bool {
-        self.start_ms < other.start_ms
-            || (self.start_ms == other.start_ms && self.seq > other.seq)
+        self.start_ms < other.start_ms || (self.start_ms == other.start_ms && self.seq > other.seq)
     }
 }
 
@@ -250,8 +249,16 @@ impl PendingQueue {
             return;
         }
         if self.sorted.len() >= SORTED_PENDING_MAX.max(self.next_convert_len) {
-            let span = self.sorted.iter().map(|e| e.start_ms).fold(f64::NEG_INFINITY, f64::max)
-                - self.sorted.iter().map(|e| e.start_ms).fold(f64::INFINITY, f64::min);
+            let span = self
+                .sorted
+                .iter()
+                .map(|e| e.start_ms)
+                .fold(f64::NEG_INFINITY, f64::max)
+                - self
+                    .sorted
+                    .iter()
+                    .map(|e| e.start_ms)
+                    .fold(f64::INFINITY, f64::min);
             if span > 0.0 {
                 let mut entries = std::mem::take(&mut self.sorted);
                 entries.push(e);
@@ -318,7 +325,9 @@ impl PendingQueue {
 
     #[cfg(test)]
     fn live_len(&self) -> usize {
-        self.calendar.as_ref().map_or(self.sorted.len(), Calendar::len_live)
+        self.calendar
+            .as_ref()
+            .map_or(self.sorted.len(), Calendar::len_live)
     }
 }
 
@@ -328,12 +337,14 @@ mod tests {
 
     /// Reference: the exact pop order both representations must produce.
     fn reference_order(arrivals: &[f64]) -> Vec<usize> {
-        let mut tagged: Vec<(f64, usize)> =
-            arrivals.iter().copied().enumerate().map(|(i, s)| (s, i)).collect();
+        let mut tagged: Vec<(f64, usize)> = arrivals
+            .iter()
+            .copied()
+            .enumerate()
+            .map(|(i, s)| (s, i))
+            .collect();
         // Earlier start first; equal starts newest-insert first.
-        tagged.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1))
-        });
+        tagged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)));
         tagged.into_iter().map(|(_, i)| i).collect()
     }
 
@@ -348,7 +359,9 @@ mod tests {
     fn lcg_stream(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed;
         move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         }
     }
@@ -360,7 +373,11 @@ mod tests {
         for (i, &s) in arrivals.iter().enumerate() {
             q.push(s, i);
         }
-        assert_eq!(q.calendar_stats(), (0, 0), "must not convert below threshold");
+        assert_eq!(
+            q.calendar_stats(),
+            (0, 0),
+            "must not convert below threshold"
+        );
         assert_eq!(drain(&mut q), reference_order(&arrivals));
         assert!(q.is_empty());
     }
@@ -403,7 +420,11 @@ mod tests {
             if round % 3 != 2 {
                 let start = (next() % 500_000) as f64 * 1e-2;
                 q.push(start, round);
-                model.push(Entry { start_ms: start, seq, idx: round });
+                model.push(Entry {
+                    start_ms: start,
+                    seq,
+                    idx: round,
+                });
                 seq += 1;
             } else {
                 popped.push(q.pop());
@@ -431,7 +452,11 @@ mod tests {
         for i in 0..10 * SORTED_PENDING_MAX {
             q.push(1.5, i);
         }
-        assert_eq!(q.calendar_stats(), (0, 0), "degenerate span must stay sorted");
+        assert_eq!(
+            q.calendar_stats(),
+            (0, 0),
+            "degenerate span must stay sorted"
+        );
         // Newest first among the all-tied backlog.
         let order = drain(&mut q);
         assert_eq!(order[0], 10 * SORTED_PENDING_MAX - 1);

@@ -150,7 +150,15 @@ fn slowdowns_scalar(
     out: &mut [f64],
 ) {
     for i in 0..out.len() {
-        out[i] = slowdown_one(u_m, over_c, over_m, t_compute[i], t_memory[i], m_share[i], exec[i]);
+        out[i] = slowdown_one(
+            u_m,
+            over_c,
+            over_m,
+            t_compute[i],
+            t_memory[i],
+            m_share[i],
+            exec[i],
+        );
     }
 }
 
@@ -247,8 +255,8 @@ unsafe fn slowdowns_avx2(
     exec: &[f64],
     out: &mut [f64],
 ) {
-    use std::arch::x86_64::*;
     use crate::contention::INTERFERENCE_GAMMA;
+    use std::arch::x86_64::*;
     let n = out.len();
     let one = _mm256_set1_pd(1.0);
     let zero = _mm256_setzero_pd();
@@ -263,13 +271,18 @@ unsafe fn slowdowns_avx2(
         let ms = _mm256_loadu_pd(m_share.as_ptr().add(i));
         let ex = _mm256_loadu_pd(exec.as_ptr().add(i));
         let contended = _mm256_max_pd(_mm256_mul_pd(tc, v_oc), _mm256_mul_pd(tm, v_om));
-        let interference =
-            _mm256_add_pd(one, _mm256_mul_pd(v_gamma, _mm256_max_pd(_mm256_sub_pd(v_um, ms), zero)));
+        let interference = _mm256_add_pd(
+            one,
+            _mm256_mul_pd(v_gamma, _mm256_max_pd(_mm256_sub_pd(v_um, ms), zero)),
+        );
         // Lanes with exec <= 0 may divide by zero; the blend below
         // discards them in favour of the pure-launch slowdown of 1.
         let val = _mm256_mul_pd(_mm256_div_pd(contended, ex), interference);
         let launch_only = _mm256_cmp_pd::<_CMP_LE_OQ>(ex, zero);
-        _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_blendv_pd(val, one, launch_only));
+        _mm256_storeu_pd(
+            out.as_mut_ptr().add(i),
+            _mm256_blendv_pd(val, one, launch_only),
+        );
         i += 4;
     }
     slowdowns_scalar(
@@ -297,8 +310,8 @@ unsafe fn slowdowns_avx512(
     exec: &[f64],
     out: &mut [f64],
 ) {
-    use std::arch::x86_64::*;
     use crate::contention::INTERFERENCE_GAMMA;
+    use std::arch::x86_64::*;
     let n = out.len();
     let one = _mm512_set1_pd(1.0);
     let zero = _mm512_setzero_pd();
@@ -313,13 +326,18 @@ unsafe fn slowdowns_avx512(
         let ms = _mm512_loadu_pd(m_share.as_ptr().add(i));
         let ex = _mm512_loadu_pd(exec.as_ptr().add(i));
         let contended = _mm512_max_pd(_mm512_mul_pd(tc, v_oc), _mm512_mul_pd(tm, v_om));
-        let interference =
-            _mm512_add_pd(one, _mm512_mul_pd(v_gamma, _mm512_max_pd(_mm512_sub_pd(v_um, ms), zero)));
+        let interference = _mm512_add_pd(
+            one,
+            _mm512_mul_pd(v_gamma, _mm512_max_pd(_mm512_sub_pd(v_um, ms), zero)),
+        );
         // Lanes with exec <= 0 may divide by zero; the mask blend below
         // discards them in favour of the pure-launch slowdown of 1.
         let val = _mm512_mul_pd(_mm512_div_pd(contended, ex), interference);
         let launch_only = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(ex, zero);
-        _mm512_storeu_pd(out.as_mut_ptr().add(i), _mm512_mask_blend_pd(launch_only, val, one));
+        _mm512_storeu_pd(
+            out.as_mut_ptr().add(i),
+            _mm512_mask_blend_pd(launch_only, val, one),
+        );
         i += 8;
     }
     slowdowns_scalar(
@@ -391,8 +409,9 @@ mod tests {
             let ex: Vec<f64> = set.iter().map(|k| k.exec_ms).collect();
             let mut want = Vec::new();
             co_run_slowdowns_summed(u_c, u_m, &set, &mut want);
-            let remaining0: Vec<f64> =
-                (0..n).map(|i| 0.05 + 0.013 * (i as f64) * ((i % 3) as f64 + 0.25)).collect();
+            let remaining0: Vec<f64> = (0..n)
+                .map(|i| 0.05 + 0.013 * (i as f64) * ((i % 3) as f64 + 0.25))
+                .collect();
             let dt = 0.037;
             let mut want_rem = remaining0.clone();
             decrement_scalar(&mut want_rem, &want, dt);

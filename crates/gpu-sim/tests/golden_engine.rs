@@ -32,7 +32,9 @@ fn workload(seed: u64, n: usize) -> Vec<(f64, Vec<KernelDesc>)> {
                 t += (rng.draw() % 1000) as f64 / 800.0;
             }
             let len = 1 + (rng.draw() % 6) as usize;
-            let kernels = (0..len).map(|_| shapes[(rng.draw() % 4) as usize]).collect();
+            let kernels = (0..len)
+                .map(|_| shapes[(rng.draw() % 4) as usize])
+                .collect();
             (t, kernels)
         })
         .collect()

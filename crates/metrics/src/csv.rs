@@ -74,7 +74,8 @@ mod tests {
         {
             let mut w = CsvWriter::create(&path, &["a", "b"]).unwrap();
             w.write_record("x", &[1.5]).unwrap();
-            w.write_row(vec!["with,comma".into(), "q\"q".into()]).unwrap();
+            w.write_row(vec!["with,comma".into(), "q\"q".into()])
+                .unwrap();
             w.flush().unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();

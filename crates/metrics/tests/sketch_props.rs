@@ -18,12 +18,7 @@ fn feed(vals: &[f64]) -> QuantileSketch {
 /// Observation values spanning the sketch's full dynamic range, including
 /// zeros (underflow) and values past the top octave (overflow).
 fn obs() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        1e-3..5_000.0f64,
-        Just(0.0),
-        1.5e6..1e9f64,
-        1e-8..1e-6f64,
-    ]
+    prop_oneof![1e-3..5_000.0f64, Just(0.0), 1.5e6..1e9f64, 1e-8..1e-6f64,]
 }
 
 proptest! {

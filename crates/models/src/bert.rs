@@ -36,21 +36,36 @@ pub fn build(bs: u32, seq: u32) -> ModelGraph {
     for l in 0..LAYERS {
         let tag = |op: &str| format!("layer{l}/{op}");
         let input = g.last();
-        let q = g.push(Operator::linear(tag("q_proj"), rows, HIDDEN, HIDDEN), &[input]);
-        let k = g.push(Operator::linear(tag("k_proj"), rows, HIDDEN, HIDDEN), &[input]);
-        let v = g.push(Operator::linear(tag("v_proj"), rows, HIDDEN, HIDDEN), &[input]);
+        let q = g.push(
+            Operator::linear(tag("q_proj"), rows, HIDDEN, HIDDEN),
+            &[input],
+        );
+        let k = g.push(
+            Operator::linear(tag("k_proj"), rows, HIDDEN, HIDDEN),
+            &[input],
+        );
+        let v = g.push(
+            Operator::linear(tag("v_proj"), rows, HIDDEN, HIDDEN),
+            &[input],
+        );
         // Scores: (b*heads) batched s×d · d×s.
         let scores = g.push(
             Operator::matmul(tag("scores"), b * HEADS, s, head_dim, s),
             &[q, k],
         );
-        let probs = g.push(Operator::softmax(tag("softmax"), b * HEADS * s * s), &[scores]);
+        let probs = g.push(
+            Operator::softmax(tag("softmax"), b * HEADS * s * s),
+            &[scores],
+        );
         // Context: (b*heads) batched s×s · s×d.
         let ctx = g.push(
             Operator::matmul(tag("context"), b * HEADS, s, s, head_dim),
             &[probs, v],
         );
-        let o = g.push(Operator::linear(tag("out_proj"), rows, HIDDEN, HIDDEN), &[ctx]);
+        let o = g.push(
+            Operator::linear(tag("out_proj"), rows, HIDDEN, HIDDEN),
+            &[ctx],
+        );
         let a1 = g.push(Operator::add(tag("attn_add"), tok_elems), &[input, o]);
         let n1 = g.push(Operator::norm(tag("attn_ln"), tok_elems), &[a1]);
         let f1 = g.push(Operator::linear(tag("ffn1"), rows, HIDDEN, FFN), &[n1]);

@@ -38,7 +38,12 @@ pub fn build(bs: u32, seq: u32) -> ModelGraph {
         for t in 0..s {
             let tag = |op: &str| format!("layer{layer}/t{t}/{op}");
             // Fused gate GEMM: [x_t, h_{t-1}] x W -> 4 gates.
-            g.chain(Operator::linear(tag("gates"), b, in_dim + HIDDEN, 4.0 * HIDDEN));
+            g.chain(Operator::linear(
+                tag("gates"),
+                b,
+                in_dim + HIDDEN,
+                4.0 * HIDDEN,
+            ));
             // Element-wise gate activations + cell/hidden update.
             g.chain(Operator::activation(tag("cell"), b * 4.0 * HIDDEN));
         }
@@ -71,7 +76,11 @@ mod tests {
         let double_seq = build(4, 16).total_flops();
         let double_batch = build(8, 8).total_flops();
         // Embedding/head are small; recurrence dominates.
-        assert!((double_seq / base - 2.0).abs() < 0.1, "{}", double_seq / base);
+        assert!(
+            (double_seq / base - 2.0).abs() < 0.1,
+            "{}",
+            double_seq / base
+        );
         assert!((double_batch / base - 2.0).abs() < 0.1);
     }
 

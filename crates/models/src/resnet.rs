@@ -44,18 +44,27 @@ pub fn build(depth: u32, bs: u32) -> ModelGraph {
             let block_in = g.last();
             // Shortcut: 1x1 projection on the first block of each stage.
             let shortcut = if r == 0 {
-                let c = g.push(Operator::conv2d(tag("down/conv"), b, cin, cout, hw, 1.0), &[block_in]);
+                let c = g.push(
+                    Operator::conv2d(tag("down/conv"), b, cin, cout, hw, 1.0),
+                    &[block_in],
+                );
                 g.push(Operator::norm(tag("down/bn"), b * cout * hw * hw), &[c])
             } else {
                 block_in
             };
-            let c1 = g.push(Operator::conv2d(tag("conv1"), b, cin, mid, hw, 1.0), &[block_in]);
+            let c1 = g.push(
+                Operator::conv2d(tag("conv1"), b, cin, mid, hw, 1.0),
+                &[block_in],
+            );
             let n1 = g.push(Operator::norm(tag("bn1"), b * mid * hw * hw), &[c1]);
             let c2 = g.push(Operator::conv2d(tag("conv2"), b, mid, mid, hw, 3.0), &[n1]);
             let n2 = g.push(Operator::norm(tag("bn2"), b * mid * hw * hw), &[c2]);
             let c3 = g.push(Operator::conv2d(tag("conv3"), b, mid, cout, hw, 1.0), &[n2]);
             let n3 = g.push(Operator::norm(tag("bn3"), b * cout * hw * hw), &[c3]);
-            g.push(Operator::add(tag("add"), b * cout * hw * hw), &[shortcut, n3]);
+            g.push(
+                Operator::add(tag("add"), b * cout * hw * hw),
+                &[shortcut, n3],
+            );
             cin = cout;
         }
     }
@@ -102,7 +111,10 @@ mod tests {
         let r50 = build(50, 1).total_flops() / 1e9;
         assert!((7.0..9.5).contains(&r50), "r50 {r50} GFLOP (2x MACs = 8.2)");
         let r152 = build(152, 1).total_flops() / 1e9;
-        assert!((19.0..26.0).contains(&r152), "r152 {r152} GFLOP (2x MACs = 23)");
+        assert!(
+            (19.0..26.0).contains(&r152),
+            "r152 {r152} GFLOP (2x MACs = 23)"
+        );
     }
 
     #[test]

@@ -36,7 +36,11 @@ pub fn build(depth: u32, bs: u32) -> ModelGraph {
     for &c in plan(depth) {
         if c == 0 {
             hw /= 2.0;
-            g.chain(Operator::pool(format!("pool{pool_idx}"), b * cin * hw * hw, 2.0));
+            g.chain(Operator::pool(
+                format!("pool{pool_idx}"),
+                b * cin * hw * hw,
+                2.0,
+            ));
             pool_idx += 1;
         } else {
             let cout = f64::from(c);

@@ -185,7 +185,10 @@ impl GroupSpec {
     pub fn streams(&self, lib: &ModelLibrary) -> Vec<Vec<gpu_sim::KernelDesc>> {
         self.entries
             .iter()
-            .map(|e| lib.graph(e.model, e.input).kernels_range(e.op_start, e.op_end))
+            .map(|e| {
+                lib.graph(e.model, e.input)
+                    .kernels_range(e.op_start, e.op_end)
+            })
             .collect()
     }
 
@@ -244,7 +247,7 @@ mod tests {
         // Slot 1 = Bert.
         assert!((x[b + SLOT_WIDTH + 2] - 0.5).abs() < 1e-12); // bs 16/32
         assert!((x[b + SLOT_WIDTH + 3] - 0.5).abs() < 1e-12); // seq 32/64
-        // Slots 2 and 3 are empty.
+                                                              // Slots 2 and 3 are empty.
         assert!(x[b + 2 * SLOT_WIDTH..].iter().all(|&v| v == 0.0));
     }
 
@@ -252,11 +255,17 @@ mod tests {
     fn slot_order_is_input_order_independent() {
         let lib = lib();
         let a = GroupSpec::new(
-            vec![entry(ModelId::Vgg16, 0, 10, 4, 1), entry(ModelId::ResNet101, 0, 20, 4, 1)],
+            vec![
+                entry(ModelId::Vgg16, 0, 10, 4, 1),
+                entry(ModelId::ResNet101, 0, 20, 4, 1),
+            ],
             &lib,
         );
         let b = GroupSpec::new(
-            vec![entry(ModelId::ResNet101, 0, 20, 4, 1), entry(ModelId::Vgg16, 0, 10, 4, 1)],
+            vec![
+                entry(ModelId::ResNet101, 0, 20, 4, 1),
+                entry(ModelId::Vgg16, 0, 10, 4, 1),
+            ],
             &lib,
         );
         assert_eq!(a.features(&lib), b.features(&lib));
@@ -282,8 +291,12 @@ mod tests {
             ],
             &lib,
         );
-        let expect = lib.graph(ModelId::ResNet50, QueryInput::new(8, 1)).solo_ms_range(&gpu, 0, 60)
-            + lib.graph(ModelId::Vgg19, QueryInput::new(8, 1)).solo_ms(&gpu);
+        let expect = lib
+            .graph(ModelId::ResNet50, QueryInput::new(8, 1))
+            .solo_ms_range(&gpu, 0, 60)
+            + lib
+                .graph(ModelId::Vgg19, QueryInput::new(8, 1))
+                .solo_ms(&gpu);
         assert!((g.sequential_ms(&lib, &gpu) - expect).abs() < 1e-9);
     }
 
@@ -293,7 +306,10 @@ mod tests {
     fn duplicate_models_rejected() {
         let lib = lib();
         let _ = GroupSpec::new(
-            vec![entry(ModelId::Bert, 0, 5, 4, 8), entry(ModelId::Bert, 0, 5, 4, 8)],
+            vec![
+                entry(ModelId::Bert, 0, 5, 4, 8),
+                entry(ModelId::Bert, 0, 5, 4, 8),
+            ],
             &lib,
         );
     }

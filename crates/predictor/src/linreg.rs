@@ -25,7 +25,7 @@ impl LinearRegression {
         assert!(!data.is_empty(), "cannot fit an empty dataset");
         let d = data.dim();
         let n = d + 1; // bias column appended
-        // Build A = XᵀX + λI and rhs = Xᵀy over the augmented features.
+                       // Build A = XᵀX + λI and rhs = Xᵀy over the augmented features.
         let mut a = vec![0.0; n * n];
         let mut rhs = vec![0.0; n];
         for (x, &y) in data.x.iter().zip(&data.y) {

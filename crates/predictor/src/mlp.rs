@@ -80,7 +80,9 @@ impl Dense {
     fn new(in_dim: usize, out_dim: usize, rng: &mut SeededRng) -> Self {
         // He initialisation for ReLU nets.
         let scale = (2.0 / in_dim as f64).sqrt();
-        let w = (0..in_dim * out_dim).map(|_| rng.normal() * scale).collect();
+        let w = (0..in_dim * out_dim)
+            .map(|_| rng.normal() * scale)
+            .collect();
         Self {
             in_dim,
             out_dim,
@@ -666,7 +668,15 @@ impl Simd {
     }
 
     #[inline]
-    fn grad(self, delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows: usize, din: usize) {
+    fn grad(
+        self,
+        delta: &[f64],
+        acts: &[f64],
+        gw: &mut [f64],
+        gb: &mut [f64],
+        rows: usize,
+        din: usize,
+    ) {
         self.run(
             #[inline(always)]
             || grad_kernel(delta, acts, gw, gb, rows, din),
@@ -781,8 +791,11 @@ fn chunk_forward_backward(
             for (r, &t) in targets.iter().enumerate() {
                 for (h, &tau) in taus.iter().enumerate() {
                     let out = outs[r * out_dim + h];
-                    dlast[r * out_dim + h] =
-                        if out < t { -2.0 * tau } else { 2.0 * (1.0 - tau) };
+                    dlast[r * out_dim + h] = if out < t {
+                        -2.0 * tau
+                    } else {
+                        2.0 * (1.0 - tau)
+                    };
                 }
             }
         }
@@ -1668,7 +1681,10 @@ mod tests {
                 ..MlpConfig::default()
             },
         );
-        assert_eq!(mlp.param_count(), 23 * 32 + 32 + 32 * 32 + 32 + 32 * 32 + 32 + 32 + 1);
+        assert_eq!(
+            mlp.param_count(),
+            23 * 32 + 32 + 32 * 32 + 32 + 32 * 32 + 32 + 32 + 1
+        );
         assert!(mlp.size_bytes() < 30_000);
     }
 
@@ -1683,7 +1699,13 @@ mod tests {
             let y = 20.0 + 10.0 * x + 2.0 * rng.normal();
             d.push(vec![x], y.max(0.1));
         }
-        let mean_model = Mlp::train(&d, &MlpConfig { epochs: 40, ..MlpConfig::default() });
+        let mean_model = Mlp::train(
+            &d,
+            &MlpConfig {
+                epochs: 40,
+                ..MlpConfig::default()
+            },
+        );
         let q90 = Mlp::train(
             &d,
             &MlpConfig {
@@ -1701,12 +1723,11 @@ mod tests {
         }
         assert!(above >= 16, "q90 above mean at {above}/20 points");
         // And it covers ~90% of the observed targets.
-        let covered = d
-            .x
-            .iter()
-            .zip(&d.y)
-            .filter(|(x, &y)| q90.predict_one(x) >= y)
-            .count();
+        let covered =
+            d.x.iter()
+                .zip(&d.y)
+                .filter(|(x, &y)| q90.predict_one(x) >= y)
+                .count();
         let frac = covered as f64 / d.len() as f64;
         assert!((0.80..0.97).contains(&frac), "coverage {frac}");
     }
@@ -1749,12 +1770,11 @@ mod tests {
         // Each head covers at least its level minus slack on the train set
         // (pinball loss pulls coverage toward tau).
         for (h, (&tau, floor)) in q.taus().iter().zip([0.80, 0.85, 0.90]).enumerate() {
-            let covered = d
-                .x
-                .iter()
-                .zip(&d.y)
-                .filter(|(x, &y)| q.predict_quantiles_one(x)[h] >= y)
-                .count();
+            let covered =
+                d.x.iter()
+                    .zip(&d.y)
+                    .filter(|(x, &y)| q.predict_quantiles_one(x)[h] >= y)
+                    .count();
             let frac = covered as f64 / d.len() as f64;
             assert!(frac >= floor, "head {h} (tau {tau}) coverage {frac}");
         }
@@ -1795,14 +1815,26 @@ mod tests {
     #[test]
     fn predictions_are_clamped_non_negative() {
         let d = synthetic(100, 5);
-        let mlp = Mlp::train(&d, &MlpConfig { epochs: 2, ..MlpConfig::default() });
+        let mlp = Mlp::train(
+            &d,
+            &MlpConfig {
+                epochs: 2,
+                ..MlpConfig::default()
+            },
+        );
         assert!(mlp.predict_one(&[-100.0, -100.0]) >= 0.0);
     }
 
     #[test]
     fn raw_roundtrip() {
         let d = synthetic(100, 6);
-        let mlp = Mlp::train(&d, &MlpConfig { epochs: 3, ..MlpConfig::default() });
+        let mlp = Mlp::train(
+            &d,
+            &MlpConfig {
+                epochs: 3,
+                ..MlpConfig::default()
+            },
+        );
         let (y_mean, y_std) = mlp.target_scaling();
         let rebuilt = Mlp::from_raw(&mlp.dims(), &mlp.raw_params(), y_mean, y_std).unwrap();
         // A model is only its parameters, so the rebuild is the model.

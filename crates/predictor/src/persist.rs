@@ -315,7 +315,14 @@ mod tests {
             let x = i as f64 / 50.0;
             d.push(vec![x, 1.0 - x], 5.0 + x);
         }
-        Mlp::train(&d, &MlpConfig { epochs: 5, hidden: vec![8, 8], ..MlpConfig::default() })
+        Mlp::train(
+            &d,
+            &MlpConfig {
+                epochs: 5,
+                hidden: vec![8, 8],
+                ..MlpConfig::default()
+            },
+        )
     }
 
     #[test]
@@ -402,7 +409,11 @@ mod tests {
         let mut text = to_string(&mlp);
         text.push_str("1.0\n"); // extra parameter
         assert!(from_str(&text).is_err());
-        let truncated: String = to_string(&mlp).lines().take(5).collect::<Vec<_>>().join("\n");
+        let truncated: String = to_string(&mlp)
+            .lines()
+            .take(5)
+            .collect::<Vec<_>>()
+            .join("\n");
         assert!(from_str(&truncated).is_err());
     }
 

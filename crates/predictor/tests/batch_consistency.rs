@@ -3,9 +3,7 @@
 //! `predict_one` to within 1e-9 for arbitrary batch sizes 1..=32 — the
 //! batched kernel must be safe to substitute in the multi-way search.
 
-use predictor::{
-    Dataset, LatencyModel, LinearRegression, LinearSvr, Mlp, MlpConfig, SvrConfig,
-};
+use predictor::{Dataset, LatencyModel, LinearRegression, LinearSvr, Mlp, MlpConfig, SvrConfig};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use workload::SeededRng;

@@ -104,8 +104,7 @@ impl GpuSim {
                 let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
                 self.queue[pos].mark_started(start);
             }
-            let spec =
-                group.to_spec(|id| self.queue.iter().find(|q| q.id == id).unwrap(), lib);
+            let spec = group.to_spec(|id| self.queue.iter().find(|q| q.id == id).unwrap(), lib);
             let out = self.executor.execute(&spec);
             self.free_at = start + out.duration_ms;
             self.scheduler.on_group_complete(out.duration_ms);

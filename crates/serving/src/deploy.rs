@@ -93,10 +93,26 @@ mod tests {
         // Published FP32 weight sizes: ResNet-50 ≈ 102 MB, ResNet-152 ≈
         // 240 MB, VGG-16 ≈ 550 MB (FC-heavy), BERT-base ≈ 440 MB (we model
         // the encoder + pooler, embeddings excluded → ~350 MB).
-        assert!((80.0..120.0).contains(&mb(ModelId::ResNet50)), "{}", mb(ModelId::ResNet50));
-        assert!((200.0..280.0).contains(&mb(ModelId::ResNet152)), "{}", mb(ModelId::ResNet152));
-        assert!((450.0..620.0).contains(&mb(ModelId::Vgg16)), "{}", mb(ModelId::Vgg16));
-        assert!((250.0..450.0).contains(&mb(ModelId::Bert)), "{}", mb(ModelId::Bert));
+        assert!(
+            (80.0..120.0).contains(&mb(ModelId::ResNet50)),
+            "{}",
+            mb(ModelId::ResNet50)
+        );
+        assert!(
+            (200.0..280.0).contains(&mb(ModelId::ResNet152)),
+            "{}",
+            mb(ModelId::ResNet152)
+        );
+        assert!(
+            (450.0..620.0).contains(&mb(ModelId::Vgg16)),
+            "{}",
+            mb(ModelId::Vgg16)
+        );
+        assert!(
+            (250.0..450.0).contains(&mb(ModelId::Bert)),
+            "{}",
+            mb(ModelId::Bert)
+        );
     }
 
     #[test]
@@ -125,7 +141,12 @@ mod tests {
         let slice = GpuSpec::a100().mig_slice(MigProfile::OneG5Gb);
         for m in ModelId::PAPER_MODELS {
             let r = memory_report(&[m], &lib, &slice);
-            assert!(r.fits(), "{} on 1g.5gb: {:.2} GB", m.name(), r.total_bytes() / 1e9);
+            assert!(
+                r.fits(),
+                "{} on 1g.5gb: {:.2} GB",
+                m.name(),
+                r.total_bytes() / 1e9
+            );
         }
     }
 

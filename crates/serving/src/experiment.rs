@@ -14,8 +14,7 @@
 use crate::invariants::InvariantChecker;
 use crate::node::{simulate_node_instrumented, NodeOptions, NodeWorkload, ServiceSpec};
 use abacus_core::{
-    AbacusConfig, AbacusScheduler, BaselinePolicy, BaselineScheduler, Scheduler,
-    SegmentalExecutor,
+    AbacusConfig, AbacusScheduler, BaselinePolicy, BaselineScheduler, Scheduler, SegmentalExecutor,
 };
 use abacus_metrics::{QueryRecord, ServiceStats};
 use dnn_models::{ModelId, ModelLibrary};
@@ -368,7 +367,11 @@ fn build_faulty_workload(
         .zip(base.inputs)
         .chain(extra.into_iter().zip(extra_inputs))
         .collect();
-    pairs.sort_by(|a, b| a.0.at_ms.total_cmp(&b.0.at_ms).then(a.0.service.cmp(&b.0.service)));
+    pairs.sort_by(|a, b| {
+        a.0.at_ms
+            .total_cmp(&b.0.at_ms)
+            .then(a.0.service.cmp(&b.0.service))
+    });
     let (arrivals, inputs) = pairs.into_iter().unzip();
     NodeWorkload::new(arrivals, inputs)
 }

@@ -229,7 +229,10 @@ mod tests {
         c.on_group(0.0, 10.0, &[]);
         c.on_group(5.0, 3.0, &[]); // starts inside the first window
         let c = finished(c);
-        assert!(c.violations().iter().any(|v| v.contains("exclusive occupancy")));
+        assert!(c
+            .violations()
+            .iter()
+            .any(|v| v.contains("exclusive occupancy")));
     }
 
     #[test]
@@ -265,7 +268,10 @@ mod tests {
         c.on_issue(1, 100.0);
         c.on_terminal(1, QueryOutcome::TimedOut, 50.0);
         let c = finished(c);
-        assert!(c.violations().iter().any(|v| v.contains("before its arrival")));
+        assert!(c
+            .violations()
+            .iter()
+            .any(|v| v.contains("before its arrival")));
     }
 
     #[test]

@@ -86,7 +86,9 @@ pub fn simulate_node_checked(
     opts: NodeOptions,
     checker: Option<&mut InvariantChecker>,
 ) -> Vec<QueryRecord> {
-    simulate_node_instrumented(scheduler, executor, lib, services, workload, opts, checker, None)
+    simulate_node_instrumented(
+        scheduler, executor, lib, services, workload, opts, checker, None,
+    )
 }
 
 /// [`simulate_node_checked`] with opt-in telemetry.
@@ -152,11 +154,13 @@ pub fn simulate_node_instrumented(
             c.on_terminal(q.id, outcome, now);
         }
         let service = service_index(services, q.model);
-        let queue_ms = q.queue_ms().unwrap_or(if outcome == QueryOutcome::Completed {
-            0.0
-        } else {
-            now - q.arrival_ms
-        });
+        let queue_ms = q
+            .queue_ms()
+            .unwrap_or(if outcome == QueryOutcome::Completed {
+                0.0
+            } else {
+                now - q.arrival_ms
+            });
         if let Some(t) = telemetry.as_deref_mut() {
             t.on_retire(q.id, now, service, outcome, now - q.arrival_ms, queue_ms);
         }
@@ -360,9 +364,7 @@ pub fn simulate_node_instrumented(
                 .iter()
                 .enumerate()
                 .min_by(|(_, a), (_, b)| {
-                    a.arrival_ms
-                        .total_cmp(&b.arrival_ms)
-                        .then(a.id.cmp(&b.id))
+                    a.arrival_ms.total_cmp(&b.arrival_ms).then(a.id.cmp(&b.id))
                 })
                 .map(|(pos, _)| pos)
                 .expect("queue checked non-empty");
@@ -409,17 +411,26 @@ pub fn simulate_node_instrumented(
             // the host-side sync/save overheads — join both against the row.
             let kernel_ms = out.stream_ms.iter().fold(0.0f64, |a, &b| a.max(b));
             t.registry.inc(Counter::GroupsExecuted);
-            t.registry.add(Counter::PredictionRounds, group.prediction_rounds as u64);
-            t.registry.observe(Hist::SearchRounds, group.prediction_rounds as f64);
-            t.registry.observe(Hist::GroupWays, group.entries.len() as f64);
-            t.registry.observe(Hist::GroupDurationMs, out.duration_ms);
-            t.registry.set(Counter::EngineEvents, executor.engine_events());
-            t.registry.set(Counter::FaultSpikes, executor.fault_spikes());
-            let core = executor.engine_core_stats();
-            t.registry.set(Counter::EngineMaxActive, core.max_active as u64);
-            t.registry.set(Counter::EnginePendingPeak, core.pending_peak as u64);
             t.registry
-                .set(Counter::EngineCalendarPeakBucket, core.calendar_peak_bucket as u64);
+                .add(Counter::PredictionRounds, group.prediction_rounds as u64);
+            t.registry
+                .observe(Hist::SearchRounds, group.prediction_rounds as f64);
+            t.registry
+                .observe(Hist::GroupWays, group.entries.len() as f64);
+            t.registry.observe(Hist::GroupDurationMs, out.duration_ms);
+            t.registry
+                .set(Counter::EngineEvents, executor.engine_events());
+            t.registry
+                .set(Counter::FaultSpikes, executor.fault_spikes());
+            let core = executor.engine_core_stats();
+            t.registry
+                .set(Counter::EngineMaxActive, core.max_active as u64);
+            t.registry
+                .set(Counter::EnginePendingPeak, core.pending_peak as u64);
+            t.registry.set(
+                Counter::EngineCalendarPeakBucket,
+                core.calendar_peak_bucket as u64,
+            );
             if let Some(w) = t.predictor_ways() {
                 for _ in 0..group.prediction_rounds {
                     t.registry.observe(Hist::PredictorBatch, w as f64);

@@ -259,7 +259,14 @@ impl ChromeTrace {
                 } => {
                     if !dispatched[q] {
                         dispatched[q] = true;
-                        self.add_async_end(PID_SERVING, svc[q], "queue", "queued", e.query, e.at_ms);
+                        self.add_async_end(
+                            PID_SERVING,
+                            svc[q],
+                            "queue",
+                            "queued",
+                            e.query,
+                            e.at_ms,
+                        );
                     }
                     let row = t.ledger.by_round(round);
                     let dur = row.map_or(0.0, |r| r.actual_ms);
@@ -361,10 +368,9 @@ impl ChromeTrace {
                     ("fast_burn", Arg::F64(*fast_burn)),
                     ("slow_burn", Arg::F64(*slow_burn)),
                 ],
-                HealthAlertKind::BudgetExhausted { ratio, .. } => vec![
-                    ("seq", Arg::U64(a.seq)),
-                    ("ratio", Arg::F64(*ratio)),
-                ],
+                HealthAlertKind::BudgetExhausted { ratio, .. } => {
+                    vec![("seq", Arg::U64(a.seq)), ("ratio", Arg::F64(*ratio))]
+                }
             };
             self.add_instant(PID_HEALTH, 0, &label, a.at_ms, &args);
         }
@@ -495,7 +501,12 @@ mod tests {
     fn counter_and_metadata_events_serialise() {
         let mut tr = ChromeTrace::new();
         tr.add_process_name(PID_COUNTERS, "load");
-        tr.add_counter(PID_COUNTERS, "rps", 1.5, &[("offered", 10.0), ("achieved", 8.5)]);
+        tr.add_counter(
+            PID_COUNTERS,
+            "rps",
+            1.5,
+            &[("offered", 10.0), ("achieved", 8.5)],
+        );
         let json = tr.to_json();
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"C\""));
@@ -508,7 +519,15 @@ mod tests {
     fn braces_balance_in_exported_json() {
         let mut tr = ChromeTrace::new();
         tr.add_thread_name(1, 0, "svc0");
-        tr.add_complete(1, 0, "dispatch", "m 0..4", 0.25, 1.75, &[("round", Arg::U64(1))]);
+        tr.add_complete(
+            1,
+            0,
+            "dispatch",
+            "m 0..4",
+            0.25,
+            1.75,
+            &[("round", Arg::U64(1))],
+        );
         tr.add_instant(1, 0, "completed", 2.0, &[]);
         tr.add_async_begin(1, 0, "queue", "queued", 7, 0.0);
         tr.add_async_end(1, 0, "queue", "queued", 7, 0.25);

@@ -242,8 +242,18 @@ mod tests {
         let mut l = DecisionLedger::new();
         let mut wide = row(1, 10.0);
         wide.entries = vec![
-            LedgerEntry { query: 0, model: ModelId::ResNet50, op_start: 0, op_end: 4 },
-            LedgerEntry { query: 1, model: ModelId::Bert, op_start: 0, op_end: 9 },
+            LedgerEntry {
+                query: 0,
+                model: ModelId::ResNet50,
+                op_start: 0,
+                op_end: 4,
+            },
+            LedgerEntry {
+                query: 1,
+                model: ModelId::Bert,
+                op_start: 0,
+                op_end: 9,
+            },
         ];
         l.push(wide);
         l.complete_last(1, 0.0, 10.6, 10.5);

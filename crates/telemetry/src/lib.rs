@@ -37,7 +37,9 @@ pub mod registry;
 pub mod sketch;
 pub mod slo;
 
-pub use drift::{width_class, width_class_label, DriftAlarm, DriftConfig, DriftDetector, WIDTH_CLASSES};
+pub use drift::{
+    width_class, width_class_label, DriftAlarm, DriftConfig, DriftDetector, WIDTH_CLASSES,
+};
 pub use event::{QueryEvent, QueryEventKind, WallKernelSpan};
 pub use export::{ChromeTrace, PID_COUNTERS, PID_GPU, PID_HEALTH, PID_SERVING};
 pub use flight::{FlightConfig, FlightDump, FlightRecorder, FlightRound};
@@ -137,7 +139,14 @@ impl Telemetry {
     }
 
     /// A query entered the node queue.
-    pub fn on_arrive(&mut self, query: u64, at_ms: f64, service: usize, model: ModelId, qos_ms: f64) {
+    pub fn on_arrive(
+        &mut self,
+        query: u64,
+        at_ms: f64,
+        service: usize,
+        model: ModelId,
+        qos_ms: f64,
+    ) {
         self.registry.inc(Counter::QueriesArrived);
         if let Some(h) = self.health.as_deref_mut() {
             h.note_service(service, qos_ms);
@@ -154,7 +163,14 @@ impl Telemetry {
     }
 
     /// An operator range of a query was dispatched in a scheduling round.
-    pub fn on_dispatch(&mut self, query: u64, at_ms: f64, round: u64, op_start: usize, op_end: usize) {
+    pub fn on_dispatch(
+        &mut self,
+        query: u64,
+        at_ms: f64,
+        round: u64,
+        op_start: usize,
+        op_end: usize,
+    ) {
         self.events.push(QueryEvent {
             query,
             at_ms,

@@ -242,7 +242,13 @@ impl SloMonitor {
 mod tests {
     use super::*;
 
-    fn feed(m: &mut SloMonitor, service: usize, t0: f64, n: usize, violated: bool) -> Vec<SloAlert> {
+    fn feed(
+        m: &mut SloMonitor,
+        service: usize,
+        t0: f64,
+        n: usize,
+        violated: bool,
+    ) -> Vec<SloAlert> {
         let mut all = Vec::new();
         for i in 0..n {
             all.extend(m.observe(service, t0 + i as f64 * 10.0, violated));
@@ -262,8 +268,8 @@ mod tests {
     fn sustained_violations_alert_once_then_rearm() {
         let mut m = SloMonitor::new(SloConfig::default());
         feed(&mut m, 0, 0.0, 100, false); // healthy prefix
-        // 100% violations: burn = 1/0.1 = 10x in both windows once the
-        // fast window turns over.
+                                          // 100% violations: burn = 1/0.1 = 10x in both windows once the
+                                          // fast window turns over.
         let alerts = feed(&mut m, 0, 1000.0, 200, true);
         let burns: Vec<_> = alerts
             .iter()
@@ -273,9 +279,7 @@ mod tests {
         // Recovery re-arms, a second episode re-alerts.
         feed(&mut m, 0, 4000.0, 300, false);
         let again = feed(&mut m, 0, 8000.0, 200, true);
-        assert!(again
-            .iter()
-            .any(|a| matches!(a, SloAlert::BurnRate { .. })));
+        assert!(again.iter().any(|a| matches!(a, SloAlert::BurnRate { .. })));
     }
 
     #[test]
@@ -285,9 +289,11 @@ mod tests {
         let exhausted: Vec<_> = alerts
             .iter()
             .filter_map(|a| match a {
-                SloAlert::BudgetExhausted { at_ms, ratio, service } => {
-                    Some((*service, *at_ms, *ratio))
-                }
+                SloAlert::BudgetExhausted {
+                    at_ms,
+                    ratio,
+                    service,
+                } => Some((*service, *at_ms, *ratio)),
                 _ => None,
             })
             .collect();
@@ -309,7 +315,9 @@ mod tests {
         // (500 queries over 5 s) stays diluted under threshold.
         let alerts = feed(&mut m, 0, 4500.0, 25, true);
         assert!(
-            !alerts.iter().any(|a| matches!(a, SloAlert::BurnRate { .. })),
+            !alerts
+                .iter()
+                .any(|a| matches!(a, SloAlert::BurnRate { .. })),
             "slow window must suppress a brief blip"
         );
     }

@@ -74,7 +74,10 @@ pub struct LogNormal {
 impl LogNormal {
     /// Create from the parameters of the underlying normal.
     pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0 && sigma.is_finite(), "sigma must be non-negative");
+        assert!(
+            sigma >= 0.0 && sigma.is_finite(),
+            "sigma must be non-negative"
+        );
         Self { mu, sigma }
     }
 

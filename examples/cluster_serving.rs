@@ -55,7 +55,10 @@ fn main() {
 
     let (arrivals, inputs) = cluster_workload(&cfg, &lib);
     let reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();
-    println!("replaying {} queries over {minutes} minutes...\n", arrivals.len());
+    println!(
+        "replaying {} queries over {minutes} minutes...\n",
+        arrivals.len()
+    );
 
     let detailed = run_cluster_detailed(
         ClusterSystem::AbacusK8s,

@@ -37,10 +37,21 @@ fn main() {
     // scenario): the Bert query is most urgent.
     let mk = |id, m: ModelId, arrival: f64| {
         let input = m.max_input();
-        Query::new(id, m, input, arrival, lib.qos_target_ms(m, &gpu), lib.graph(m, input).len())
+        Query::new(
+            id,
+            m,
+            input,
+            arrival,
+            lib.qos_target_ms(m, &gpu),
+            lib.graph(m, input).len(),
+        )
     };
     let now = 30.0;
-    let queries = [mk(0, ModelId::Bert, 10.0), mk(1, ModelId::ResNet152, 25.0), mk(2, ModelId::InceptionV3, 28.0)];
+    let queries = [
+        mk(0, ModelId::Bert, 10.0),
+        mk(1, ModelId::ResNet152, 25.0),
+        mk(2, ModelId::InceptionV3, 28.0),
+    ];
     let mut sorted: Vec<&Query> = queries.iter().collect();
     sorted.sort_by(|a, b| a.headroom_ms(now).total_cmp(&b.headroom_ms(now)));
     println!("\nqueries at t = {now} ms (sorted by Eq. 2 headroom):");

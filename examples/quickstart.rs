@@ -17,7 +17,12 @@ fn main() {
     let gpu = GpuSpec::a100();
     let noise = NoiseModel::calibrated();
     let pair = [ModelId::ResNet152, ModelId::Bert];
-    println!("deploying {} + {} on {}", pair[0].name(), pair[1].name(), gpu.name);
+    println!(
+        "deploying {} + {} on {}",
+        pair[0].name(),
+        pair[1].name(),
+        gpu.name
+    );
     for m in pair {
         println!(
             "  {:<8} solo(max input) = {:5.1} ms, QoS target = {:5.1} ms",

@@ -9,8 +9,7 @@
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{
-    eval, persist, sample_groups, Dataset, LinearRegression, LinearSvr, Mlp, MlpConfig,
-    SvrConfig,
+    eval, persist, sample_groups, Dataset, LinearRegression, LinearSvr, Mlp, MlpConfig, SvrConfig,
 };
 use serving::collect_profiles;
 use std::sync::Arc;
@@ -27,7 +26,11 @@ fn main() {
 
     // Instance-based sampling (Fig. 9): only groups the scheduler can emit.
     let preview = sample_groups(&pair, 3, &lib, 1);
-    println!("instance-based samples over ({}, {}):", pair[0].name(), pair[1].name());
+    println!(
+        "instance-based samples over ({}, {}):",
+        pair[0].name(),
+        pair[1].name()
+    );
     for g in &preview {
         for e in &g.entries {
             println!(
@@ -58,7 +61,8 @@ fn main() {
         0,
     );
     let mean: f64 = profiles.iter().map(|p| p.mean_ms).sum::<f64>() / profiles.len() as f64;
-    let cv: f64 = profiles.iter().map(|p| p.std_ms / p.mean_ms).sum::<f64>() / profiles.len() as f64;
+    let cv: f64 =
+        profiles.iter().map(|p| p.std_ms / p.mean_ms).sum::<f64>() / profiles.len() as f64;
     println!(
         "  done in {:.1?}; mean group latency {mean:.1} ms, std/mean {:.1}% (paper §5.2: 4.53%)",
         t0.elapsed(),
@@ -73,9 +77,18 @@ fn main() {
     let lr = LinearRegression::fit(&train, 1e-3);
     let svr = LinearSvr::fit(&train, &SvrConfig::default());
     println!("prediction error (MAPE, Eq. 1) on the held-out 20%:");
-    println!("  linear regression : {:5.1}%", 100.0 * eval::mape(&lr, &test));
-    println!("  linear SVR        : {:5.1}%", 100.0 * eval::mape(&svr, &test));
-    println!("  MLP (3 x 32)      : {:5.1}%", 100.0 * eval::mape(&mlp, &test));
+    println!(
+        "  linear regression : {:5.1}%",
+        100.0 * eval::mape(&lr, &test)
+    );
+    println!(
+        "  linear SVR        : {:5.1}%",
+        100.0 * eval::mape(&svr, &test)
+    );
+    println!(
+        "  MLP (3 x 32)      : {:5.1}%",
+        100.0 * eval::mape(&mlp, &test)
+    );
 
     // Persist the deployable artifact (§7.8: ~14 kB).
     persist::save(&mlp, &out_path).expect("cannot write model");

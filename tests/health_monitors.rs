@@ -14,9 +14,7 @@ use serving::{
     run, train_unified, ColocationConfig, PolicyKind, RunOutcome, RunSpec, TrainerConfig,
 };
 use std::sync::{Arc, OnceLock};
-use telemetry::{
-    HealthAlert, HealthAlertKind, HealthConfig, SloConfig, Telemetry, WIDTH_CLASSES,
-};
+use telemetry::{HealthAlert, HealthAlertKind, HealthConfig, SloConfig, Telemetry, WIDTH_CLASSES};
 use workload::fork_seed;
 
 /// Same pair as the CLI `health` study.
@@ -161,8 +159,16 @@ fn healthy_run_flags_solo_ood_and_keeps_slo_quiet() {
     // Online OOD: solo EWMA |err| is several times the 2-way level.
     let solo = h.drift().class(0);
     let multi = h.drift().class(1);
-    assert!(solo.samples > 20, "expected solo rounds, got {}", solo.samples);
-    assert!(multi.samples > 12, "expected 2-way rounds, got {}", multi.samples);
+    assert!(
+        solo.samples > 20,
+        "expected solo rounds, got {}",
+        solo.samples
+    );
+    assert!(
+        multi.samples > 12,
+        "expected 2-way rounds, got {}",
+        multi.samples
+    );
     assert!(
         solo.ewma_abs > 3.0 * multi.ewma_abs,
         "solo |err| {} not an OOD outlier vs 2-way {}",

@@ -32,9 +32,21 @@ fn predictors() -> &'static Vec<Box<dyn LatencyModel>> {
             d.push(x, y);
         }
         vec![
-            Box::new(Mlp::train(&d, &MlpConfig { epochs: 5, ..MlpConfig::default() })),
+            Box::new(Mlp::train(
+                &d,
+                &MlpConfig {
+                    epochs: 5,
+                    ..MlpConfig::default()
+                },
+            )),
             Box::new(LinearRegression::fit(&d, 1e-6)),
-            Box::new(LinearSvr::fit(&d, &SvrConfig { epochs: 10, ..SvrConfig::default() })),
+            Box::new(LinearSvr::fit(
+                &d,
+                &SvrConfig {
+                    epochs: 10,
+                    ..SvrConfig::default()
+                },
+            )),
         ]
     })
 }

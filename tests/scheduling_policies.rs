@@ -177,7 +177,10 @@ fn qos_violations_monotone_in_fault_intensity() {
     }
     // The dose must actually bite: full intensity is strictly worse than
     // fault-free, not merely non-decreasing within the slack.
-    assert!(last > 0.1, "full-intensity run suspiciously healthy: {last}");
+    assert!(
+        last > 0.1,
+        "full-intensity run suspiciously healthy: {last}"
+    );
 }
 
 /// Metamorphic: under *total* predictor failure (frozen output), Abacus
@@ -271,7 +274,8 @@ fn conformal_disabled_is_byte_identical_end_to_end() {
         ..ColocationConfig::default()
     };
     let csv = |records: &[abacus_metrics::QueryRecord]| -> String {
-        let mut s = String::from("service,arrival_ms,latency_ms,qos_ms,outcome,requests,queue_ms\n");
+        let mut s =
+            String::from("service,arrival_ms,latency_ms,qos_ms,outcome,requests,queue_ms\n");
         for r in records {
             s.push_str(&format!(
                 "{},{},{},{},{:?},{},{}\n",

@@ -108,11 +108,17 @@ fn event_stream_is_one_lifecycle_per_query() {
             QueryEventKind::Dispatched { .. } => {}
         }
     }
-    assert!(arrived.iter().all(|&c| c == 1), "duplicate/missing arrivals");
+    assert!(
+        arrived.iter().all(|&c| c == 1),
+        "duplicate/missing arrivals"
+    );
     assert!(retired.iter().all(|&c| c == 1), "duplicate/missing retires");
     let reg = &tel.registry;
     assert_eq!(reg.get(Counter::QueriesArrived), n as u64);
-    assert_eq!(reg.get(Counter::QueriesCompleted), result.all.completed() as u64);
+    assert_eq!(
+        reg.get(Counter::QueriesCompleted),
+        result.all.completed() as u64
+    );
     assert_eq!(
         reg.get(Counter::QueriesCompleted)
             + reg.get(Counter::QueriesDropped)
@@ -153,7 +159,11 @@ fn abacus_ledger_kernel_spans_and_export() {
         .iter()
         .filter(|r| r.exec_start_ms.is_finite())
         .collect();
-    assert!(executed.len() > 10, "too few executed rounds: {}", executed.len());
+    assert!(
+        executed.len() > 10,
+        "too few executed rounds: {}",
+        executed.len()
+    );
     for w in executed.windows(2) {
         let end = w[0].exec_start_ms + w[0].actual_ms;
         assert!(
