@@ -15,6 +15,10 @@
 //! has headroom, supports heterogeneous (A100/V100/MIG) pools through
 //! per-GPU derates, and is driven by [`autoscale::PredictiveAutoscaler`]
 //! over diurnal traces.
+//!
+//! Both Abacus paths hold one [`serving::NodeServer`] per GPU — the same
+//! decide → execute → retire loop a single-node run drives — so cluster
+//! GPUs get the node loop's admit/retire hooks and livelock guard.
 
 pub mod autoscale;
 pub mod route;

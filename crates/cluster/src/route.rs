@@ -37,10 +37,8 @@
 //! a steady-state routing decision allocates nothing.
 
 use crate::autoscale::{AutoscaleStats, PredictiveAutoscaler};
-use crate::sim::{record_of, shared_workload, GpuUsage};
-use abacus_core::{
-    AbacusConfig, AbacusScheduler, Query, RoundDecision, Scheduler, SegmentalExecutor,
-};
+use crate::sim::{cluster_query, record_of, shared_workload, ClusterGpu, GpuUsage};
+use abacus_core::{AbacusConfig, Query};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -523,102 +521,6 @@ pub struct RoutedRunResult {
     pub autoscale: AutoscaleStats,
 }
 
-/// Per-GPU serving state for the routed path. Unlike the pre-overhaul
-/// `GpuSim`, rounds go through `decide_into` with admit/retire hooks, so
-/// the scheduler's incremental order index and entry-buffer recycling stay
-/// engaged — the decision layer runs at its PR 7 speed.
-struct RoutedGpuSim {
-    scheduler: AbacusScheduler,
-    executor: SegmentalExecutor,
-    queue: Vec<Query>,
-    decision: RoundDecision,
-    free_at: f64,
-    usage: GpuUsage,
-    records: Vec<QueryRecord>,
-    /// Queries routed here this epoch, arrival order.
-    assigned: Vec<Query>,
-}
-
-impl RoutedGpuSim {
-    fn admit(&mut self, q: Query) {
-        self.scheduler.on_admit(&q);
-        self.queue.push(q);
-    }
-
-    fn retire(&mut self, pos: usize, latency_ms: f64, outcome: QueryOutcome) {
-        self.scheduler.on_retire(&self.queue[pos]);
-        let q = self.queue.swap_remove(pos);
-        self.records.push(record_of(&q, latency_ms, outcome));
-    }
-
-    /// Run scheduling rounds until the next decision would start after
-    /// `until`.
-    fn advance(&mut self, until: f64, lib: &ModelLibrary) {
-        loop {
-            if self.queue.is_empty() {
-                break;
-            }
-            let earliest = self
-                .queue
-                .iter()
-                .map(|q| q.arrival_ms)
-                .fold(f64::INFINITY, f64::min);
-            let t = self.free_at.max(earliest);
-            if t > until {
-                break;
-            }
-            self.scheduler
-                .decide_into(t, &self.queue, &mut self.decision);
-            let n_dropped = self.decision.dropped.len();
-            for i in 0..n_dropped {
-                let id = self.decision.dropped[i];
-                let pos = self.queue.iter().position(|q| q.id == id).unwrap();
-                self.retire(pos, t - self.queue[pos].arrival_ms, QueryOutcome::Dropped);
-            }
-            let Some(group) = self.decision.group.take() else {
-                continue;
-            };
-            let start = t + self.decision.overhead_ms;
-            for e in &group.entries {
-                let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                self.queue[pos].mark_started(start);
-            }
-            let spec = group.to_spec(|id| self.queue.iter().find(|q| q.id == id).unwrap(), lib);
-            let out = self.executor.execute(&spec);
-            self.free_at = start + out.duration_ms;
-            self.usage.busy_ms += out.duration_ms;
-            self.usage.groups += 1;
-            self.usage.sequential_ms += spec.sequential_ms(lib, self.executor.gpu());
-            self.scheduler.on_group_complete(out.duration_ms);
-            for e in &group.entries {
-                let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                self.queue[pos].advance_to(e.op_end);
-                if self.queue[pos].is_complete() {
-                    self.retire(
-                        pos,
-                        self.free_at - self.queue[pos].arrival_ms,
-                        QueryOutcome::Completed,
-                    );
-                }
-            }
-            // Hand the entry buffer back for next round's recycling.
-            self.decision.group = Some(group);
-        }
-    }
-
-    /// The most urgent incomplete query — the router's representative.
-    fn head(&self) -> Option<NodeHead> {
-        self.queue
-            .iter()
-            .min_by(|a, b| {
-                a.deadline_ms()
-                    .total_cmp(&b.deadline_ms())
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(NodeHead::of)
-    }
-}
-
 /// Run the headroom-routed cluster. `router_model` scores candidates on
 /// [`RoutedClusterConfig::reference`] hardware; `pool_models` (parallel to
 /// `cfg.pools`) drive the in-node Abacus schedulers — pass `None` to
@@ -679,29 +581,23 @@ pub fn run_routed_cluster_on(
             &derived
         }
     };
-    let mut sims: Vec<RoutedGpuSim> = Vec::with_capacity(n_gpus);
+    // Every GPU runs the same serving loop as a single node
+    // (`serving::NodeServer`): `decide_into` with admit/retire hooks, so the
+    // scheduler's incremental order index and entry-buffer recycling stay
+    // engaged, and the livelock guard bounds a stalled scheduler.
+    let mut sims: Vec<ClusterGpu> = Vec::with_capacity(n_gpus);
     for (p, pool) in cfg.pools.iter().enumerate() {
         for _ in 0..pool.gpus {
-            let g = sims.len();
-            sims.push(RoutedGpuSim {
-                scheduler: AbacusScheduler::new(
-                    pool_models[p].clone(),
-                    lib.clone(),
-                    cfg.abacus.clone(),
-                ),
-                executor: SegmentalExecutor::new(
-                    pool.gpu.clone(),
-                    noise.clone(),
-                    lib.clone(),
-                    fork_seed(cfg.seed, 0xE000 + g as u64),
-                ),
-                queue: Vec::new(),
-                decision: RoundDecision::idle(),
-                free_at: 0.0,
-                usage: GpuUsage::default(),
-                records: Vec::new(),
-                assigned: Vec::new(),
-            });
+            let seed = fork_seed(cfg.seed, 0xE000 + sims.len() as u64);
+            let model = pool_models[p].clone();
+            sims.push(ClusterGpu::new(
+                model,
+                &cfg.abacus,
+                lib,
+                pool.gpu.clone(),
+                noise,
+                seed,
+            ));
         }
     }
     let mut router = HeadroomRouter::new(
@@ -758,12 +654,9 @@ pub fn run_routed_cluster_on(
         // Serial routing pass over this epoch's arrivals.
         while next < arrivals.len() && arrivals[next].at_ms < t_end {
             let a = &arrivals[next];
-            let model = cfg.models[a.service];
-            let input = inputs[next];
-            let n_ops = lib.graph(model, input).len();
-            let q = Query::new(next as u64, model, input, a.at_ms, cfg.qos_ms, n_ops);
+            let q = cluster_query(next, a, inputs[next], &cfg.models, cfg.qos_ms, lib);
             match router.route(a.at_ms, &q, telemetry.as_deref_mut()) {
-                RouteOutcome::Route(g) | RouteOutcome::Spill(g) => sims[g].assigned.push(q),
+                RouteOutcome::Route(g) | RouteOutcome::Spill(g) => sims[g].inbox.push(q),
                 RouteOutcome::Shed => shed_records.push(record_of(&q, 0.0, QueryOutcome::Dropped)),
             }
             next += 1;
@@ -771,13 +664,16 @@ pub fn run_routed_cluster_on(
         // Independent per-GPU simulation of the epoch — the parallel
         // fan-out. GPU order is restored by the indexed collect, so the
         // serial and parallel paths produce identical state.
-        let step = |mut s: RoutedGpuSim| -> RoutedGpuSim {
-            let assigned = std::mem::take(&mut s.assigned);
-            for q in assigned {
-                s.advance(q.arrival_ms, lib);
+        let step = |mut s: ClusterGpu| -> ClusterGpu {
+            for q in std::mem::take(&mut s.inbox) {
+                s.advance(q.arrival_ms);
                 s.admit(q);
             }
-            s.advance(t_end, lib);
+            if e == epochs {
+                s.drain();
+            } else {
+                s.advance(t_end);
+            }
             s
         };
         let owned = std::mem::take(&mut sims);
@@ -789,16 +685,17 @@ pub fn run_routed_cluster_on(
         };
         // Epoch barrier: re-anchor the router's mirrors on actual state.
         for (g, s) in sims.iter().enumerate() {
-            router.sync(g, s.queue.len() as u32, s.free_at, s.head());
+            let head = s.server.head().map(NodeHead::of);
+            router.sync(g, s.server.outstanding() as u32, s.server.now(), head);
         }
     }
     debug_assert!(next == arrivals.len(), "arrivals routed past the horizon");
     let mut records = Vec::with_capacity(arrivals.len());
     let mut gpu_usage = Vec::with_capacity(n_gpus);
     for s in &mut sims {
-        assert!(s.queue.is_empty(), "drain epoch left queries behind");
-        records.append(&mut s.records);
-        gpu_usage.push(s.usage);
+        assert_eq!(s.server.outstanding(), 0, "drain epoch left queries behind");
+        s.server.take_records(&mut records);
+        gpu_usage.push(s.server.usage());
     }
     records.append(&mut shed_records);
     assert_eq!(

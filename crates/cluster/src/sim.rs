@@ -6,7 +6,8 @@
 //!
 //! * **Abacus + Kubernetes** — a K8s-style least-outstanding-queries router
 //!   sends each query to a GPU; every GPU runs the full Abacus controller
-//!   and overlaps operators across services.
+//!   behind its own [`serving::NodeServer`] and overlaps operators across
+//!   services.
 //! * **Clockwork** — a central earliest-deadline-first queue; a free GPU
 //!   pulls the most urgent query and runs it *exclusively* (Clockwork's
 //!   per-GPU predictability discipline), with deadline-based admission
@@ -16,12 +17,14 @@
 //!
 //! Both systems see the same arrival stream and the same per-GPU hardware.
 
-use abacus_core::{AbacusConfig, AbacusScheduler, Query, Scheduler, SegmentalExecutor};
+use abacus_core::{AbacusConfig, AbacusScheduler, Query, SegmentalExecutor};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use faults::NodeDegradation;
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
+pub use serving::GpuUsage;
+use serving::{NodeIo, NodeServer};
 use std::sync::Arc;
 use workload::{fork_seed, Arrival, RateTrace, SeededRng};
 
@@ -130,41 +133,6 @@ fn node_gpu_spec(gpu: &GpuSpec, slowdown: f64) -> GpuSpec {
     g
 }
 
-/// One query with its routing metadata.
-#[derive(Debug, Clone)]
-struct ClusterQuery {
-    query: Query,
-}
-
-/// Aggregate utilisation of one GPU over a run — the autoscaler's input
-/// signals (§7.9).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct GpuUsage {
-    /// Total wall time spent executing groups, ms.
-    pub busy_ms: f64,
-    /// Operator groups executed.
-    pub groups: u64,
-    /// Sum of the groups' sequential-execution times, ms (overlap-gain
-    /// numerator).
-    pub sequential_ms: f64,
-}
-
-impl GpuUsage {
-    /// Fraction of the horizon the GPU was executing, in `[0, 1]`.
-    pub fn busy_fraction(&self, horizon_ms: f64) -> f64 {
-        (self.busy_ms / horizon_ms).clamp(0.0, 1.0)
-    }
-
-    /// Mean overlap gain: sequential time ÷ actual time (1.0 = no benefit).
-    pub fn overlap_gain(&self) -> f64 {
-        if self.busy_ms <= 0.0 {
-            1.0
-        } else {
-            self.sequential_ms / self.busy_ms
-        }
-    }
-}
-
 /// The full outcome of a cluster run: per-query records plus per-GPU usage.
 #[derive(Debug, Clone)]
 pub struct ClusterRunResult {
@@ -174,73 +142,62 @@ pub struct ClusterRunResult {
     pub gpu_usage: Vec<GpuUsage>,
 }
 
-/// Per-GPU serving state.
-struct GpuSim {
-    scheduler: Option<Box<dyn Scheduler>>,
+/// One cluster GPU: its [`NodeServer`] plus the Abacus scheduler and the
+/// executor it lends to every call.
+pub(crate) struct ClusterGpu {
+    pub(crate) server: NodeServer,
+    scheduler: AbacusScheduler,
     executor: SegmentalExecutor,
-    queue: Vec<Query>,
-    free_at: f64,
-    usage: GpuUsage,
+    /// Queries routed here whose admission waits for the routed path's
+    /// per-epoch fan-out, arrival order.
+    pub(crate) inbox: Vec<Query>,
 }
 
-impl GpuSim {
-    /// Outstanding queries (the K8s least-connections routing signal).
-    fn outstanding(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Run scheduling rounds until the GPU's next decision would start
-    /// after `until`. Appends completion/drop records.
-    fn advance(&mut self, until: f64, lib: &ModelLibrary, records: &mut Vec<QueryRecord>) {
-        let scheduler = self.scheduler.as_mut().expect("abacus gpu");
-        loop {
-            if self.queue.is_empty() {
-                break;
-            }
-            let earliest = self
-                .queue
-                .iter()
-                .map(|q| q.arrival_ms)
-                .fold(f64::INFINITY, f64::min);
-            let t = self.free_at.max(earliest);
-            if t > until {
-                break;
-            }
-            let decision = scheduler.decide(t, &self.queue);
-            for id in &decision.dropped {
-                let pos = self.queue.iter().position(|q| q.id == *id).unwrap();
-                let q = self.queue.swap_remove(pos);
-                records.push(record_of(&q, t - q.arrival_ms, QueryOutcome::Dropped));
-            }
-            let Some(group) = decision.group else {
-                continue;
-            };
-            let start = t + decision.overhead_ms;
-            for e in &group.entries {
-                let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                self.queue[pos].mark_started(start);
-            }
-            let spec = group.to_spec(|id| self.queue.iter().find(|q| q.id == id).unwrap(), lib);
-            let out = self.executor.execute(&spec);
-            self.free_at = start + out.duration_ms;
-            self.usage.busy_ms += out.duration_ms;
-            self.usage.groups += 1;
-            self.usage.sequential_ms += spec.sequential_ms(lib, self.executor.gpu());
-            scheduler.on_group_complete(out.duration_ms);
-            for e in &group.entries {
-                let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                self.queue[pos].advance_to(e.op_end);
-                if self.queue[pos].is_complete() {
-                    let q = self.queue.swap_remove(pos);
-                    records.push(record_of(
-                        &q,
-                        self.free_at - q.arrival_ms,
-                        QueryOutcome::Completed,
-                    ));
-                }
-            }
+impl ClusterGpu {
+    pub(crate) fn new(
+        model: Arc<dyn LatencyModel>,
+        abacus: &AbacusConfig,
+        lib: &Arc<ModelLibrary>,
+        gpu: GpuSpec,
+        noise: &NoiseModel,
+        seed: u64,
+    ) -> Self {
+        Self {
+            server: NodeServer::by_model(),
+            scheduler: AbacusScheduler::new(model, lib.clone(), abacus.clone()),
+            executor: SegmentalExecutor::new(gpu, noise.clone(), lib.clone(), seed),
+            inbox: Vec::new(),
         }
     }
+
+    pub(crate) fn advance(&mut self, until: f64) {
+        let mut io = NodeIo::new(&mut self.scheduler, &mut self.executor);
+        self.server.advance(until, &mut io);
+    }
+
+    pub(crate) fn admit(&mut self, q: Query) {
+        let mut io = NodeIo::new(&mut self.scheduler, &mut self.executor);
+        self.server.admit(q, &mut io);
+    }
+
+    pub(crate) fn drain(&mut self) {
+        let mut io = NodeIo::new(&mut self.scheduler, &mut self.executor);
+        self.server.drain(&mut io);
+    }
+}
+
+/// Arrival `id` as a query of service `models[a.service]`.
+pub(crate) fn cluster_query(
+    id: usize,
+    a: &Arrival,
+    input: QueryInput,
+    models: &[ModelId],
+    qos_ms: f64,
+    lib: &ModelLibrary,
+) -> Query {
+    let model = models[a.service];
+    let n_ops = lib.graph(model, input).len();
+    Query::new(id as u64, model, input, a.at_ms, qos_ms, n_ops)
 }
 
 pub(crate) fn record_of(q: &Query, latency_ms: f64, outcome: QueryOutcome) -> QueryRecord {
@@ -313,20 +270,6 @@ pub fn run_cluster_detailed(
     }
 }
 
-fn make_query(
-    id: u64,
-    cfg: &ClusterConfig,
-    lib: &ModelLibrary,
-    a: &Arrival,
-    input: QueryInput,
-) -> ClusterQuery {
-    let model = cfg.models[a.service];
-    let n_ops = lib.graph(model, input).len();
-    ClusterQuery {
-        query: Query::new(id, model, input, a.at_ms, cfg.qos_ms, n_ops),
-    }
-}
-
 fn run_abacus_k8s(
     cfg: &ClusterConfig,
     lib: &Arc<ModelLibrary>,
@@ -343,54 +286,48 @@ fn run_abacus_k8s(
     // one node this is exactly the old single-tier least-connections
     // cluster.
     let nodes = cfg.nodes.max(1);
-    let mut node_arrivals: Vec<Vec<(u64, &Arrival, QueryInput)>> = vec![Vec::new(); nodes];
+    let mut node_arrivals: Vec<Vec<(usize, &Arrival, QueryInput)>> = vec![Vec::new(); nodes];
     for (i, (a, &input)) in arrivals.iter().zip(inputs).enumerate() {
-        node_arrivals[i % nodes].push((i as u64, a, input));
+        node_arrivals[i % nodes].push((i, a, input));
     }
     let run_node = |node: usize| -> (Vec<QueryRecord>, Vec<GpuUsage>) {
         let node_gpu = node_gpu_spec(gpu, cfg.node_slowdown(node));
-        let mut gpus: Vec<GpuSim> = (0..cfg.gpus_per_node)
+        let mut gpus: Vec<ClusterGpu> = (0..cfg.gpus_per_node)
             .map(|local| {
                 // Global GPU index: seeds are identical to the pre-sharding
                 // single-tier layout (and independent of node count).
                 let g = node * cfg.gpus_per_node + local;
-                GpuSim {
-                    scheduler: Some(Box::new(AbacusScheduler::new(
-                        predictor.clone(),
-                        lib.clone(),
-                        cfg.abacus.clone(),
-                    ))),
-                    executor: SegmentalExecutor::new(
-                        node_gpu.clone(),
-                        noise.clone(),
-                        lib.clone(),
-                        fork_seed(cfg.seed, 0xE000 + g as u64),
-                    ),
-                    queue: Vec::new(),
-                    free_at: 0.0,
-                    usage: GpuUsage::default(),
-                }
+                let seed = fork_seed(cfg.seed, 0xE000 + g as u64);
+                ClusterGpu::new(
+                    predictor.clone(),
+                    &cfg.abacus,
+                    lib,
+                    node_gpu.clone(),
+                    noise,
+                    seed,
+                )
             })
             .collect();
         let mut records = Vec::with_capacity(node_arrivals[node].len());
         for &(id, a, input) in &node_arrivals[node] {
             for g in gpus.iter_mut() {
-                g.advance(a.at_ms, lib, &mut records);
+                g.advance(a.at_ms);
+                g.server.take_records(&mut records);
             }
             // K8s least-connections routing within the node.
             let target = gpus
                 .iter()
                 .enumerate()
-                .min_by_key(|(i, g)| (g.outstanding(), *i))
+                .min_by_key(|(i, g)| (g.server.outstanding(), *i))
                 .map(|(i, _)| i)
                 .unwrap();
-            let cq = make_query(id, cfg, lib, a, input);
-            gpus[target].queue.push(cq.query);
+            gpus[target].admit(cluster_query(id, a, input, &cfg.models, cfg.qos_ms, lib));
         }
         for g in gpus.iter_mut() {
-            g.advance(f64::INFINITY, lib, &mut records);
+            g.drain();
+            g.server.take_records(&mut records);
         }
-        (records, gpus.iter().map(|g| g.usage).collect())
+        (records, gpus.iter().map(|g| g.server.usage()).collect())
     };
     let per_node: Vec<(Vec<QueryRecord>, Vec<GpuUsage>)> = if cfg.parallel && nodes > 1 {
         use rayon::prelude::*;
@@ -427,10 +364,10 @@ fn run_clockwork(
         .collect();
     let mut free_at = vec![0.0f64; cfg.total_gpus()];
     let mut usage = vec![GpuUsage::default(); cfg.total_gpus()];
-    let mut central: Vec<ClusterQuery> = Vec::new();
+    let mut central: Vec<Query> = Vec::new();
     let mut records = Vec::with_capacity(arrivals.len());
 
-    let drain = |central: &mut Vec<ClusterQuery>,
+    let drain = |central: &mut Vec<Query>,
                  free_at: &mut Vec<f64>,
                  usage: &mut Vec<GpuUsage>,
                  executors: &mut Vec<SegmentalExecutor>,
@@ -446,7 +383,7 @@ fn run_clockwork(
                 .unwrap();
             let earliest = central
                 .iter()
-                .map(|q| q.query.arrival_ms)
+                .map(|q| q.arrival_ms)
                 .fold(f64::INFINITY, f64::min);
             let t = free_at[g].max(earliest);
             if t > until {
@@ -455,32 +392,25 @@ fn run_clockwork(
             // EDF pull with deadline admission: drop queries whose solo
             // latency can no longer fit before the deadline.
             central.sort_by(|a, b| {
-                a.query
-                    .deadline_ms()
-                    .total_cmp(&b.query.deadline_ms())
-                    .then(a.query.id.cmp(&b.query.id))
+                a.deadline_ms()
+                    .total_cmp(&b.deadline_ms())
+                    .then(a.id.cmp(&b.id))
             });
             let mut pulled = None;
-            while let Some(cq) = central.first() {
-                if cq.query.arrival_ms > t {
+            while let Some(q) = central.first() {
+                if q.arrival_ms > t {
                     break;
                 }
-                let solo = lib
-                    .graph(cq.query.model, cq.query.input)
-                    .solo_ms(executors[g].gpu());
-                if t + solo * CLOCKWORK_ADMISSION_MARGIN > cq.query.deadline_ms() {
-                    let cq = central.remove(0);
-                    records.push(record_of(
-                        &cq.query,
-                        t - cq.query.arrival_ms,
-                        QueryOutcome::Dropped,
-                    ));
+                let solo = lib.graph(q.model, q.input).solo_ms(executors[g].gpu());
+                if t + solo * CLOCKWORK_ADMISSION_MARGIN > q.deadline_ms() {
+                    let q = central.remove(0);
+                    records.push(record_of(&q, t - q.arrival_ms, QueryOutcome::Dropped));
                 } else {
                     pulled = Some(central.remove(0));
                     break;
                 }
             }
-            let Some(cq) = pulled else {
+            let Some(mut q) = pulled else {
                 // Nothing admissible has arrived yet for this GPU.
                 if central.is_empty() {
                     break;
@@ -494,10 +424,10 @@ fn run_clockwork(
             };
             let spec = predictor::GroupSpec::new(
                 vec![predictor::GroupEntry {
-                    model: cq.query.model,
+                    model: q.model,
                     op_start: 0,
-                    op_end: cq.query.n_ops,
-                    input: cq.query.input,
+                    op_end: q.n_ops,
+                    input: q.input,
                 }],
                 lib,
             );
@@ -506,7 +436,6 @@ fn run_clockwork(
             usage[g].busy_ms += out.duration_ms;
             usage[g].groups += 1;
             usage[g].sequential_ms += spec.sequential_ms(lib, executors[g].gpu());
-            let mut q = cq.query;
             q.mark_started(t);
             records.push(record_of(
                 &q,
@@ -525,7 +454,7 @@ fn run_clockwork(
             &mut records,
             a.at_ms,
         );
-        central.push(make_query(i as u64, cfg, lib, a, input));
+        central.push(cluster_query(i, a, input, &cfg.models, cfg.qos_ms, lib));
     }
     drain(
         &mut central,

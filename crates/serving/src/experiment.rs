@@ -12,7 +12,7 @@
 //! streams.
 
 use crate::invariants::InvariantChecker;
-use crate::node::{simulate_node_instrumented, NodeOptions, NodeWorkload, ServiceSpec};
+use crate::node::{serve, NodeIo, NodeOptions, NodeWorkload, ServiceSpec};
 use abacus_core::{
     AbacusConfig, AbacusScheduler, BaselinePolicy, BaselineScheduler, Scheduler, SegmentalExecutor,
 };
@@ -300,16 +300,13 @@ pub fn run(spec: &RunSpec, mut telemetry: Option<&mut Telemetry>) -> RunOutcome 
         }
     };
     let mut checker = InvariantChecker::new();
-    let records = simulate_node_instrumented(
+    let io = NodeIo {
         scheduler,
-        &mut executor,
-        lib,
-        services,
-        &workload,
-        opts,
-        Some(&mut checker),
+        executor: &mut executor,
+        checker: Some(&mut checker),
         telemetry,
-    );
+    };
+    let records = serve(io, lib, services, &workload, opts);
     let mut per_service: Vec<ServiceStats> = services.iter().map(|_| ServiceStats::new()).collect();
     let mut all = ServiceStats::new();
     for r in &records {

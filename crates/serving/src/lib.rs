@@ -1,8 +1,9 @@
 //! Single-GPU serving simulation and experiment drivers.
 //!
 //! This crate ties the substrate together into the paper's evaluation
-//! harness: [`node`] is the discrete-event serving loop (arrivals → queue →
-//! scheduler → segmental executor), [`mps`] reproduces the Fig. 3
+//! harness: [`node`] is the one per-GPU serving loop, [`NodeServer`]
+//! (arrivals → queue → scheduler → segmental executor), which single-GPU
+//! runs and every cluster GPU share, [`mps`] reproduces the Fig. 3
 //! free-overlap motivation, [`trainer`] runs the offline
 //! sample-profile-train pipeline, and [`experiment`] holds the one node-run
 //! driver ([`run`] over a [`RunSpec`]) behind the §7.2–7.5 co-location
@@ -22,7 +23,7 @@ pub use experiment::{
 pub use invariants::InvariantChecker;
 pub use mps::{mps_victim_latencies, victim_solo_ms, MpsConfig};
 pub use node::{
-    simulate_node_checked, simulate_node_instrumented, NodeOptions, NodeWorkload, ServiceSpec,
+    simulate_node_checked, GpuUsage, NodeIo, NodeOptions, NodeServer, NodeWorkload, ServiceSpec,
 };
 pub use trainer::{
     collect_dataset, collect_profiles, train_certified, train_unified, CertifiedPredictor,
