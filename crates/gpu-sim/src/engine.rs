@@ -25,11 +25,11 @@
 //! remaining solo time, kernel start stamps, the contention-profile fields
 //! and the current slowdowns. The three per-event passes — slowdown
 //! evaluation, completion-horizon scan and time decrement — stream through
-//! those arrays with runtime-dispatched SIMD ([`crate::simd`]); slowdowns
-//! are refreshed *incrementally*: a full vector recompute only when the
-//! aggregate utilisations `U_c`/`U_m` changed bits, otherwise only entries
-//! whose own kernel changed. Pending arrivals wait in a calendar queue
-//! with a sorted-`Vec` fallback ([`crate::pqueue`]). All of it is
+//! those arrays with runtime-dispatched SIMD (the private `simd`
+//! module); slowdowns are refreshed *incrementally*: a full vector
+//! recompute only when the aggregate utilisations `U_c`/`U_m` changed
+//! bits, otherwise only entries whose own kernel changed. Pending arrivals wait in a calendar queue
+//! with a sorted-`Vec` fallback (the private `pqueue` module). All of it is
 //! bit-identical to the scalar reference engine pinned by
 //! `tests/golden_engine.rs` — decrement order, tie-breaking and RNG draw
 //! order are part of the contract (see DESIGN.md §11).

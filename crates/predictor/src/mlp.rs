@@ -1152,7 +1152,7 @@ impl Mlp {
     /// inference engine's batched SIMD-dispatched kernels, and
     /// back-propagated with batched gradient kernels (register-resident
     /// fixed-width bodies for the paper's widths). Gradients are computed
-    /// per fixed [`GRAD_CHUNK`]-row chunk (fanned out over the worker pool
+    /// per fixed `GRAD_CHUNK`-row chunk (fanned out over the worker pool
     /// unless `cfg.serial` or the host has at most two cores) and reduced
     /// in chunk-index order, so the trained weights are bit-identical at
     /// any thread count. RNG consumption (init + per-epoch shuffle) and the
@@ -1292,7 +1292,7 @@ impl LatencyModel for Mlp {
 
 /// A multi-head quantile model: one shared trunk with one output head per
 /// quantile, trained jointly under per-head pinball losses
-/// ([`Loss::MultiPinball`]). The certification pipeline trains the
+/// (`Loss::MultiPinball`). The certification pipeline trains the
 /// p90/p95/p99 heads this way and conformally calibrates them (see
 /// `conformal`); a three-head 3×32 net costs the same trunk forward as the
 /// mean predictor plus two extra output dot products.
@@ -1324,7 +1324,7 @@ impl QuantileMlp {
     /// Exactly [`Mlp::train`]'s deterministic chunked minibatch loop with a
     /// `taus.len()`-wide output layer and per-head pinball gradients —
     /// weights are bit-identical at any worker count for the same reason
-    /// (fixed [`GRAD_CHUNK`] split, chunk-index reduction order).
+    /// (fixed `GRAD_CHUNK` split, chunk-index reduction order).
     /// `cfg.quantile` is ignored: the heads' levels come from `taus`.
     ///
     /// # Panics

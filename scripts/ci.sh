@@ -12,6 +12,13 @@ cargo build --release --workspace --all-targets
 echo "== clippy =="
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "== rustfmt =="
+# perfbench/ is its own workspace and is not covered by this check.
+cargo fmt --check
+
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== tests =="
 cargo test -q
 
@@ -48,8 +55,11 @@ echo "== routing golden + determinism contracts =="
 # The headroom router must match the embedded naive reference stream,
 # degenerate to least-connections on homogeneous pools, keep serial and
 # parallel cluster CSVs byte-identical (with and without the autoscaler),
-# score via one batched forward, and be unperturbed by telemetry.
+# score via one batched forward, be unperturbed by telemetry, and keep its
+# pinned record digests. The K8s path must match its pre-merge copy in
+# crates/reference record for record.
 cargo test -q -p cluster --test routing_golden
+cargo test -q -p cluster --test k8s_golden
 
 echo "== certification suites (quantile golden, conformal coverage, byte-identity) =="
 # The uncertainty-aware certification stack: the mean and multi-head
