@@ -435,7 +435,7 @@ fn run_clockwork(
             free_at[g] = t + out.duration_ms;
             usage[g].busy_ms += out.duration_ms;
             usage[g].groups += 1;
-            usage[g].sequential_ms += spec.sequential_ms(lib, executors[g].gpu());
+            usage[g].sequential_ms += out.sequential_ms;
             q.mark_started(t);
             records.push(record_of(
                 &q,

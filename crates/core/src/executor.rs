@@ -38,6 +38,10 @@ pub struct ExecOutcome {
     pub duration_ms: f64,
     /// Per-entry kernel-stream completion offsets (before sync), ms.
     pub stream_ms: Vec<f64>,
+    /// The group's entries run back to back, each kernel solo, ms —
+    /// bit-identical to [`GroupSpec::sequential_ms`] on the executor's GPU,
+    /// but summed from the memoised kernel profiles.
+    pub sequential_ms: f64,
     /// Bytes of intermediate activations held for partially-processed
     /// queries after this round (the §7.8 memory-overhead figure).
     pub saved_bytes: f64,
@@ -160,6 +164,7 @@ impl SegmentalExecutor {
         self.rounds += 1;
         self.engine.reset(run_seed);
         self.engine.set_fault_time_base(self.busy_ms);
+        let mut sequential_ms = 0.0;
         for e in &spec.entries {
             let profiles = self.profiles.entry((e.model, e.input)).or_insert_with(|| {
                 self.lib
@@ -168,12 +173,18 @@ impl SegmentalExecutor {
                     .map(|k| RunningKernel::profile(k, self.engine.gpu()))
                     .collect()
             });
-            self.engine.add_stream_slice_profiled(
-                self.lib
-                    .kernels_range(e.model, e.input, e.op_start, e.op_end),
-                &profiles[e.op_start..e.op_end],
-                0.0,
-            );
+            let kernels = self
+                .lib
+                .kernels_range(e.model, e.input, e.op_start, e.op_end);
+            let profiles = &profiles[e.op_start..e.op_end];
+            // `KernelDesc::solo_ms` is launch + the profile's `exec_ms`.
+            sequential_ms += kernels
+                .iter()
+                .zip(profiles)
+                .map(|(k, p)| k.launch_ms + p.exec_ms)
+                .sum::<f64>();
+            self.engine
+                .add_stream_slice_profiled(kernels, profiles, 0.0);
         }
         self.engine.run_until_idle();
         self.engine.completions_into(&mut self.completions);
@@ -214,6 +225,7 @@ impl SegmentalExecutor {
                 .iter()
                 .map(|c| c.end_ms - c.start_ms)
                 .collect(),
+            sequential_ms,
             saved_bytes,
         }
     }
@@ -306,6 +318,7 @@ mod tests {
         let out = ex.execute(&spec);
         assert!(out.duration_ms < seq, "{} vs {seq}", out.duration_ms);
         assert_eq!(out.stream_ms.len(), 2);
+        assert_eq!(out.sequential_ms.to_bits(), seq.to_bits());
     }
 
     #[test]

@@ -422,7 +422,6 @@ impl NodeServer {
                 .collect(),
             lib,
         );
-        let sequential_ms = spec.sequential_ms(lib, io.executor.gpu());
         if let Some(t) = io.telemetry.as_deref_mut() {
             for e in &group.entries {
                 t.on_dispatch(e.query_id, exec_start, self.round, e.op_start, e.op_end);
@@ -432,7 +431,7 @@ impl NodeServer {
         self.now += out.duration_ms;
         self.usage.busy_ms += out.duration_ms;
         self.usage.groups += 1;
-        self.usage.sequential_ms += sequential_ms;
+        self.usage.sequential_ms += out.sequential_ms;
         if let Some(c) = io.checker.as_deref_mut() {
             c.on_group(exec_start, out.duration_ms, &out.stream_ms);
         }
