@@ -212,9 +212,10 @@ impl SegmentalExecutor {
                 overhead += SAVE_RESTORE_MS; // restore at round start
             }
             if e.op_end < graph.len() {
-                overhead += SAVE_RESTORE_MS; // save at round end
-                                             // The activation crossing the segment boundary: estimate
-                                             // as the boundary operator's output traffic share.
+                // Save at round end. The activation crossing the segment
+                // boundary: estimate as the boundary operator's output
+                // traffic share.
+                overhead += SAVE_RESTORE_MS;
                 saved_bytes += graph.ops[e.op_end - 1].bytes / 3.0;
             }
         }

@@ -126,7 +126,8 @@ mod tests {
         assert_eq!(st.spike_factor(5.0), 1.0); // before window
         assert_eq!(st.spike_factor(15.0), 2.0); // inside
         assert_eq!(st.spike_factor(25.0), 1.0); // after
-                                                // The base shifts group-local time into the window.
+
+        // The base shifts group-local time into the window.
         st.set_base_ms(12.0);
         assert_eq!(st.spike_factor(3.0), 2.0);
     }

@@ -247,7 +247,8 @@ mod tests {
         // Slot 1 = Bert.
         assert!((x[b + SLOT_WIDTH + 2] - 0.5).abs() < 1e-12); // bs 16/32
         assert!((x[b + SLOT_WIDTH + 3] - 0.5).abs() < 1e-12); // seq 32/64
-                                                              // Slots 2 and 3 are empty.
+
+        // Slots 2 and 3 are empty.
         assert!(x[b + 2 * SLOT_WIDTH..].iter().all(|&v| v == 0.0));
     }
 

@@ -36,8 +36,10 @@ enum Terminal {
 
 /// Collects serving-loop invariant violations over one node run.
 ///
-/// Wire it through `simulate_node_checked`; call [`finish`] after the loop
-/// drains and inspect [`report`].
+/// Lend it to a [`NodeServer`](crate::NodeServer) through its
+/// [`NodeIo`](crate::NodeIo) (or pass it to `simulate_node_checked`);
+/// [`NodeServer::drain`](crate::NodeServer::drain) calls [`finish`]. Then
+/// inspect [`report`].
 ///
 /// [`finish`]: InvariantChecker::finish
 /// [`report`]: InvariantChecker::report

@@ -268,8 +268,9 @@ mod tests {
     fn sustained_violations_alert_once_then_rearm() {
         let mut m = SloMonitor::new(SloConfig::default());
         feed(&mut m, 0, 0.0, 100, false); // healthy prefix
-                                          // 100% violations: burn = 1/0.1 = 10x in both windows once the
-                                          // fast window turns over.
+
+        // 100% violations: burn = 1/0.1 = 10x in both windows once the
+        // fast window turns over.
         let alerts = feed(&mut m, 0, 1000.0, 200, true);
         let burns: Vec<_> = alerts
             .iter()
