@@ -14,7 +14,9 @@
 //! [`QueryRecord`] per query, from which every §7.2–7.6 figure is computed.
 
 use crate::invariants::InvariantChecker;
-use abacus_core::{Query, RoundDecision, Scheduler, SegmentalExecutor};
+use abacus_core::{
+    DecisionStats, PlannedGroup, Query, RoundDecision, Scheduler, SegmentalExecutor,
+};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use predictor::{GroupEntry, GroupSpec};
@@ -407,7 +409,6 @@ impl NodeServer {
         for &pos in &self.entry_pos {
             self.queue[pos].mark_started(exec_start);
         }
-        let lib = io.executor.library();
         let spec = GroupSpec::new(
             group
                 .entries
@@ -420,7 +421,7 @@ impl NodeServer {
                     input: self.queue[pos].input,
                 })
                 .collect(),
-            lib,
+            io.executor.library(),
         );
         if let Some(t) = io.telemetry.as_deref_mut() {
             for e in &group.entries {
@@ -488,12 +489,7 @@ impl NodeServer {
     /// The decision-layer counters and, for a round that made progress, a
     /// ledger row (idle probes of an unservable queue would otherwise
     /// dominate the ledger). Built before the drops leave the queue.
-    fn ledger_row(
-        &self,
-        t: &mut Telemetry,
-        stats: abacus_core::DecisionStats,
-        group: Option<&abacus_core::PlannedGroup>,
-    ) {
+    fn ledger_row(&self, t: &mut Telemetry, stats: DecisionStats, group: Option<&PlannedGroup>) {
         t.registry.inc(Counter::SchedRounds);
         t.registry
             .set(Counter::DecisionOrderPeak, stats.order_peak_len as u64);
